@@ -27,6 +27,7 @@ import (
 	"netmem/internal/nameserver"
 	"netmem/internal/rmem"
 	"netmem/internal/rpc"
+	"netmem/internal/scenario"
 	"netmem/internal/svm"
 	"netmem/internal/workload"
 )
@@ -236,7 +237,7 @@ func BenchmarkMixedChaosCampaign(b *testing.B) {
 	camp, _ := faults.Named("mixed")
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		res, err := dfs.RunChaos(dfs.ChaosConfig{Campaign: camp, Seed: 1, Mode: dfs.DX})
+		res, err := scenario.Run(scenario.Config{Campaign: camp, Seed: 1, Mode: dfs.DX})
 		if err != nil {
 			b.Fatal(err)
 		}

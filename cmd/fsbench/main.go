@@ -62,6 +62,7 @@ import (
 	"netmem/internal/dfs"
 	"netmem/internal/faults"
 	"netmem/internal/obs"
+	"netmem/internal/scenario"
 	"netmem/internal/shard"
 	"netmem/internal/stats"
 	"netmem/internal/workload"
@@ -325,92 +326,21 @@ func runChaos(name string, seed int64, metrics bool, shards, replicas int) {
 		// The replicalag campaign only means something on the replica rig
 		// (its delays target the chain hops, its crash decapitates the chain
 		// head's primary); any campaign runs there when -replicas asks.
-		if shards <= 1 && (replicas > 0 || n == "replicalag") {
-			k := replicas
-			if k == 0 {
-				k = 3
+		cfg := scenario.Config{Campaign: camp, Seed: seed, Mode: dfs.DX}
+		switch {
+		case shards <= 1 && (replicas > 0 || n == "replicalag"):
+			cfg.Topology, cfg.Replicas = scenario.Chain, replicas
+			if replicas == 0 {
+				cfg.Replicas = 3
 			}
-			runReplicaChaos(camp, seed, metrics, k)
-			continue
-		}
-		if shards > 1 {
-			res, err := shard.RunChaos(shard.ChaosConfig{Campaign: camp, Seed: seed, Mode: dfs.DX, Shards: shards})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fsbench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("Sharded tier: %d shards, consistent-hash routing, fenced standby per shard\n", res.Shards)
-			printChaos(&res.ChaosResult, metrics)
-			fmt.Printf("divergence: %d stray bucket(s) after campaign, %d repaired (want 0 strays)\n\n",
-				res.Strays, res.Repaired)
-			continue
-		}
-		if len(camp.Partitions) > 0 {
+		case shards > 1:
+			cfg.Topology, cfg.Shards = scenario.Sharded, shards
+		case len(camp.Partitions) > 0:
 			// Partition campaigns need the split-brain rig: a quorum of
 			// control replicas to fence through, plus a standby to promote.
-			runSplitBrain(camp, seed, metrics)
-			continue
+			cfg.Topology = scenario.SplitBrain
 		}
-		res, err := dfs.RunChaos(dfs.ChaosConfig{Campaign: camp, Seed: seed, Mode: dfs.DX})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fsbench:", err)
-			os.Exit(1)
-		}
-		printChaos(res, metrics)
-	}
-}
-
-// runSplitBrain runs a partition campaign on the quorum-fenced failover
-// rig: the watchdog verdict is only a proposal, takeover waits for the
-// fence decree to commit, and the audit proves exactly one writer
-// survived the split.
-func runSplitBrain(camp faults.Campaign, seed int64, metrics bool) {
-	res, err := consensus.RunSplitBrain(consensus.SplitBrainConfig{Campaign: camp, Seed: seed, Mode: dfs.DX})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fsbench:", err)
-		os.Exit(1)
-	}
-	fmt.Println("Split-brain rig: 3 control replicas, primary + fenced standby, quorum-gated takeover")
-	fmt.Printf("Chaos campaign %q (seed %d, %s, reliability on)\n\n", res.Campaign, res.Seed, res.Mode)
-	t := stats.NewTable("Operation", "Fault-free", "Under campaign", "Slowdown", "Result")
-	for _, op := range res.Ops {
-		status := "ok"
-		if !op.OK {
-			status = "FAILED: " + op.Err
-		}
-		chaosLat := stats.Ms(op.Chaos)
-		slow := fmt.Sprintf("%.2fx", op.Degradation())
-		if !op.OK {
-			chaosLat, slow = "-", "-"
-		}
-		t.Add(op.Label, stats.Ms(op.Baseline), chaosLat, slow, status)
-	}
-	fmt.Println(t)
-	fmt.Printf("goodput %d/%d ops byte-correct (%.0f%%); retries %d, giveups %d\n",
-		res.Completed, len(res.Ops), res.Goodput()*100, res.Retries, res.Giveups)
-	fmt.Printf("fencing: decree committed %s after the verdict; takeover MTTR %s (gated on the quorum)\n",
-		stats.Ms(res.FenceLatency), stats.Ms(res.MTTR))
-	writer := "EXACTLY ONE WRITER"
-	if !res.OneWriter() {
-		writer = "SPLIT BRAIN (audit failed)"
-	}
-	deposed := "old lease deposed for good after the heal"
-	if !res.OldDeposed {
-		deposed = "OLD LEASE RECOVERED (audit failed)"
-	}
-	fmt.Printf("audit: %s — old primary frozen with %d refused write(s); %s\n",
-		writer, res.Denials, deposed)
-	if len(res.Injected) > 0 {
-		fmt.Print("injected:")
-		for _, kv := range res.Injected {
-			fmt.Print(" ", kv)
-		}
-		fmt.Println()
-	}
-	fmt.Println()
-	if metrics {
-		fmt.Print(res.Metrics.String())
-		fmt.Println()
+		runScenario(cfg, metrics)
 	}
 }
 
@@ -452,59 +382,7 @@ func runConsensusChaos(name string, seed int64, metrics bool) {
 		fmt.Fprintf(os.Stderr, "fsbench: unknown campaign %q (try -chaos list)\n", name)
 		os.Exit(1)
 	}
-	res, err := consensus.RunChaos(consensus.ChaosConfig{Campaign: camp, Seed: seed, Mode: dfs.DX})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fsbench:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("Consensus control plane: %d replicas (Paxos acceptors on rmem CAS), registry replicated through the log\n", res.Replicas)
-	fmt.Printf("Chaos campaign %q (seed %d, %s, reliability on)\n\n", res.Campaign, res.Seed, res.Mode)
-	t := stats.NewTable("Operation", "Fault-free", "Under campaign", "Slowdown", "Result")
-	for _, op := range res.Ops {
-		status := "ok"
-		if !op.OK {
-			status = "FAILED: " + op.Err
-		}
-		chaosLat := stats.Ms(op.Chaos)
-		slow := fmt.Sprintf("%.2fx", op.Degradation())
-		if !op.OK {
-			chaosLat, slow = "-", "-"
-		}
-		t.Add(op.Label, stats.Ms(op.Baseline), chaosLat, slow, status)
-	}
-	fmt.Println(t)
-	fmt.Printf("goodput %d/%d ops byte-correct (%.0f%%); retries %d, giveups %d\n",
-		res.Completed, len(res.Ops), res.Goodput()*100, res.Retries, res.Giveups)
-	fmt.Printf("control plane: leader %d → %d, %d re-election(s), election latency %s\n",
-		res.LeaderBefore, res.LeaderAfter, res.Elections, stats.Ms(res.ElectionLatency))
-	fmt.Printf("decrees: %d applied by every survivor; driver committed %d (%.0f decrees/sec under the campaign, %.0f fault-free, %d error(s))\n",
-		res.Decrees, res.DriverCommits, res.DecreesPerSec, res.SteadyPerSec, res.DriverErrors)
-	agree := "logs agree"
-	if !res.LogsAgree {
-		agree = "LOGS DIVERGED"
-	}
-	reg := "registry converged on survivors"
-	if !res.RegistryOK {
-		reg = "REGISTRY DID NOT CONVERGE"
-	}
-	fmt.Printf("survivors: %s; %s\n", agree, reg)
-	fmt.Print("surviving control-plane CPU during window:")
-	for _, cat := range []string{"client", "rx", "reply", "control", "proc"} {
-		fmt.Printf(" %s %s", cat, stats.Ms(res.AcceptorCPU[cat]))
-	}
-	fmt.Println(" (agreement itself is one-sided; client/control/proc time is replica apply + lease work)")
-	if len(res.Injected) > 0 {
-		fmt.Print("injected:")
-		for _, kv := range res.Injected {
-			fmt.Print(" ", kv)
-		}
-		fmt.Println()
-	}
-	fmt.Println()
-	if metrics {
-		fmt.Print(res.Metrics.String())
-		fmt.Println()
-	}
+	runScenario(scenario.Config{Topology: scenario.ControlPlane, Campaign: camp, Seed: seed, Mode: dfs.DX}, metrics)
 }
 
 func describeCampaign(c faults.Campaign) string {
@@ -523,7 +401,24 @@ func describeCampaign(c faults.Campaign) string {
 	return s
 }
 
-func printChaos(res *dfs.ChaosResult, metrics bool) {
+// runScenario runs one chaos campaign and prints the per-op table, the
+// goodput and failover lines, and the topology's evidence.
+func runScenario(cfg scenario.Config, metrics bool) {
+	res, err := scenario.Run(cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fsbench:", err)
+		os.Exit(1)
+	}
+	switch {
+	case res.Shards != nil:
+		fmt.Printf("Sharded tier: %d shards, consistent-hash routing, fenced standby per shard\n", res.Shards.Count)
+	case res.Chain != nil:
+		fmt.Printf("Replica rig: %d-member chain, token-cached clerk reading via the chain, promotion failover\n", res.Chain.Replicas)
+	case res.Control != nil:
+		fmt.Printf("Consensus control plane: %d replicas (Paxos acceptors on rmem CAS), registry replicated through the log\n", res.Control.Replicas)
+	case res.Fencing != nil:
+		fmt.Println("Split-brain rig: 3 control replicas, primary + fenced standby, quorum-gated takeover")
+	}
 	fmt.Printf("Chaos campaign %q (seed %d, %s, reliability on)\n\n", res.Campaign, res.Seed, res.Mode)
 	t := stats.NewTable("Operation", "Fault-free", "Under campaign", "Slowdown", "Result")
 	for _, op := range res.Ops {
@@ -541,9 +436,43 @@ func printChaos(res *dfs.ChaosResult, metrics bool) {
 	fmt.Println(t)
 	fmt.Printf("goodput %d/%d ops byte-correct (%.0f%%); retries %d, giveups %d\n",
 		res.Completed, len(res.Ops), res.Goodput()*100, res.Retries, res.Giveups)
-	if res.FailedOver {
+	if f := res.Fencing; f != nil {
+		// The fencing line reports the takeover in place of the failover line.
+		fmt.Printf("fencing: decree committed %s after the verdict; takeover MTTR %s (gated on the quorum)\n",
+			stats.Ms(f.FenceLatency), stats.Ms(res.MTTR))
+		writer := "EXACTLY ONE WRITER"
+		if !f.OneWriter() {
+			writer = "SPLIT BRAIN (audit failed)"
+		}
+		deposed := "old lease deposed for good after the heal"
+		if !f.OldDeposed {
+			deposed = "OLD LEASE RECOVERED (audit failed)"
+		}
+		fmt.Printf("audit: %s — old primary frozen with %d refused write(s); %s\n",
+			writer, f.Denials, deposed)
+	} else if res.FailedOver {
 		fmt.Printf("failover: MTTR %s, availability %.2f%% of %s window; %d rebind step(s), %d op(s) replayed\n",
 			stats.Ms(res.MTTR), res.Availability()*100, stats.Ms(res.Window), res.Rebinds, res.Replays)
+	}
+	if c := res.Control; c != nil {
+		fmt.Printf("control plane: leader %d → %d, %d re-election(s), election latency %s\n",
+			c.LeaderBefore, c.LeaderAfter, c.Elections, stats.Ms(c.ElectionLatency))
+		fmt.Printf("decrees: %d applied by every survivor; driver committed %d (%.0f decrees/sec under the campaign, %.0f fault-free, %d error(s))\n",
+			c.Decrees, c.DriverCommits, c.DecreesPerSec, c.SteadyPerSec, c.DriverErrors)
+		agree := "logs agree"
+		if !c.LogsAgree {
+			agree = "LOGS DIVERGED"
+		}
+		reg := "registry converged on survivors"
+		if !c.RegistryOK {
+			reg = "REGISTRY DID NOT CONVERGE"
+		}
+		fmt.Printf("survivors: %s; %s\n", agree, reg)
+		fmt.Print("surviving control-plane CPU during window:")
+		for _, cat := range []string{"client", "rx", "reply", "control", "proc"} {
+			fmt.Printf(" %s %s", cat, stats.Ms(c.AcceptorCPU[cat]))
+		}
+		fmt.Println(" (agreement itself is one-sided; client/control/proc time is replica apply + lease work)")
 	}
 	if len(res.Injected) > 0 {
 		fmt.Print("injected:")
@@ -556,6 +485,17 @@ func printChaos(res *dfs.ChaosResult, metrics bool) {
 	if metrics {
 		fmt.Print(res.Metrics.String())
 		fmt.Println()
+	}
+	if sh := res.Shards; sh != nil {
+		fmt.Printf("divergence: %d stray bucket(s) after campaign, %d repaired (want 0 strays)\n\n",
+			sh.Strays, sh.Repaired)
+	}
+	if ch := res.Chain; ch != nil {
+		if res.FailedOver {
+			fmt.Printf("promotion: node %d at applied watermark %d (chain spread at crash: head %d, tail %d)\n",
+				ch.PromotedNode, ch.PromotedApplied, ch.HeadApplied, ch.TailApplied)
+		}
+		fmt.Printf("replica reads during mix: %d; mid-chain splices: %d\n\n", ch.ReplicaReads, ch.Spliced)
 	}
 }
 
@@ -601,26 +541,6 @@ func runShardSweep(maxShards int) {
 	}
 	fmt.Printf("Token-coherent cache probe (%d shards): re-read of %d bytes served from client cache — %d token hits, 0 server CPU, 0 remote reads\n",
 		probe.Shards, probe.Bytes, probe.TokenHits)
-}
-
-// runReplicaChaos runs a campaign on the replica-chain rig: Figure 2 mix
-// through a token-caching clerk whose reads go via the chain, failover
-// promoting the most-advanced member.
-func runReplicaChaos(camp faults.Campaign, seed int64, metrics bool, replicas int) {
-	res, err := shard.RunReplicaLagChaos(shard.ReplicaChaosConfig{
-		Campaign: camp, Seed: seed, Mode: dfs.DX, Replicas: replicas,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fsbench:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("Replica rig: %d-member chain, token-cached clerk reading via the chain, promotion failover\n", res.Replicas)
-	printChaos(&res.ChaosResult, metrics)
-	if res.FailedOver {
-		fmt.Printf("promotion: node %d at applied watermark %d (chain spread at crash: head %d, tail %d)\n",
-			res.PromotedNode, res.PromotedApplied, res.HeadApplied, res.TailApplied)
-	}
-	fmt.Printf("replica reads during mix: %d; mid-chain splices: %d\n\n", res.ReplicaReads, res.Spliced)
 }
 
 // runReplicaSweep prints the replica read tier's Figure-3-style scaling

@@ -25,6 +25,7 @@ import (
 	"netmem/internal/consensus"
 	"netmem/internal/dfs"
 	"netmem/internal/faults"
+	"netmem/internal/scenario"
 	"netmem/internal/workload"
 )
 
@@ -125,7 +126,7 @@ func runMixedChaos() (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("mixed campaign not registered")
 	}
-	res, err := dfs.RunChaos(dfs.ChaosConfig{Campaign: camp, Seed: 1, Mode: dfs.DX})
+	res, err := scenario.Run(scenario.Config{Campaign: camp, Seed: 1, Mode: dfs.DX})
 	if err != nil {
 		return 0, err
 	}

@@ -1,7 +1,9 @@
 package consensus
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"time"
 
@@ -458,6 +460,46 @@ func (r *Replica) Idx() int { return r.idx }
 
 // Clerk returns the replica's name-service clerk (may be nil).
 func (r *Replica) Clerk() *nameserver.Clerk { return r.ns }
+
+// AuditSurvivors checks the control plane after a campaign. The replicas
+// whose machines survived must agree byte for byte on the log prefix they
+// have all applied (decrees is its length), and every survivor's name
+// clerk must answer name locally — no remote lookup, no dependence on a
+// dead machine — with a record on node.
+func (cp *ControlPlane) AuditSurvivors(p *des.Proc, name string, node int) (decrees int, registryOK bool, err error) {
+	var live []*Replica
+	for _, r := range cp.reps {
+		if !r.acc.M.Node.Failed() {
+			live = append(live, r)
+		}
+	}
+	if len(live) == 0 {
+		return 0, false, errors.New("consensus: no surviving replicas to audit")
+	}
+	decrees = live[0].AppliedCount()
+	for _, r := range live[1:] {
+		decrees = min(decrees, r.AppliedCount())
+	}
+	for _, r := range live[1:] {
+		a, b := live[0].Log(), r.Log()
+		for s := 0; s < decrees; s++ {
+			if !bytes.Equal(a[s].Encode(), b[s].Encode()) {
+				return decrees, false, fmt.Errorf("consensus: replica %d diverges from %d at slot %d", r.Idx(), live[0].Idx(), s)
+			}
+		}
+	}
+	registryOK = name != ""
+	for _, r := range live {
+		if r.Clerk() == nil {
+			continue
+		}
+		rec, err := r.Clerk().Lookup(p, name, -1, false)
+		if err != nil || rec.Node != node {
+			registryOK = false
+		}
+	}
+	return decrees, registryOK, nil
+}
 
 // proposeCmd stamps origin/sequence and drives cmd into the first open
 // slot.

@@ -383,6 +383,27 @@ func (e *Env) RunUntil(deadline Time) error {
 	})
 }
 
+// RunSteps advances the simulation in step-sized slices until stop reports
+// true or the slice ending at horizon has run. Perpetual daemons never let
+// the queue drain, so a caller that only needs the simulation up to some
+// condition polls it between slices; the quantized polling keeps the stop
+// point — and with it the executed-event count — deterministic. The clock
+// stays at the last executed event (see RunUntil), so the loop ends on the
+// horizon slice rather than waiting for the clock to reach the horizon.
+func (e *Env) RunSteps(step Duration, horizon Time, stop func() bool) error {
+	for !stop() && e.now < horizon {
+		next := e.now.Add(step)
+		last := next >= horizon
+		if last {
+			next = horizon
+		}
+		if err := e.RunUntil(next); err != nil || last {
+			return err
+		}
+	}
+	return nil
+}
+
 // Halt stops the simulation after the current event completes. Safe to call
 // from simulated code.
 func (e *Env) Halt() { e.halted = true }

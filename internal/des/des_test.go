@@ -407,6 +407,46 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
+// TestRunStepsEndsAtHorizon: a daemon whose ticks never land exactly on the
+// horizon leaves the clock short of it after the last slice; RunSteps must
+// still return once that slice has run instead of re-issuing it forever.
+func TestRunStepsEndsAtHorizon(t *testing.T) {
+	e := NewEnv()
+	ticks := 0
+	e.SpawnDaemon("tick", func(p *Proc) {
+		for {
+			p.Sleep(7 * us)
+			ticks++
+		}
+	})
+	horizon := Time(1000 * us)
+	if err := e.RunSteps(100*us, horizon, func() bool { return false }); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() >= horizon || e.Now() < horizon-Time(7*us) {
+		t.Fatalf("clock at %v, want within one tick below %v", e.Now(), horizon)
+	}
+	if ticks != 142 {
+		t.Fatalf("ticks = %d, want 142 (every tick up to the horizon)", ticks)
+	}
+	// The stop predicate ends the run at the first slice boundary after it
+	// turns true.
+	e2 := NewEnv()
+	n := 0
+	e2.SpawnDaemon("tick", func(p *Proc) {
+		for {
+			p.Sleep(10 * us)
+			n++
+		}
+	})
+	if err := e2.RunSteps(50*us, horizon, func() bool { return n >= 12 }); err != nil {
+		t.Fatal(err)
+	}
+	if n != 15 {
+		t.Fatalf("stopped after %d ticks, want 15 (the slice that crossed 12)", n)
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	run := func() []string {
 		e := NewEnv()

@@ -9,7 +9,6 @@ import (
 	"netmem/internal/fstore"
 	"netmem/internal/model"
 	"netmem/internal/obs"
-	"netmem/internal/recovery"
 	"netmem/internal/rmem"
 )
 
@@ -73,11 +72,6 @@ type experimentRig struct {
 	file fstore.Handle // 16K warm file
 	dir  fstore.Handle // warm directory with ≥4K of serialized entries
 	link fstore.Handle // warm symlink
-
-	// Failover extras (chaos rigs with crash campaigns only).
-	standby *Standby
-	rec     *recovery.Coordinator
-	replays int64 // ops replayed against the new incarnation
 }
 
 func newExperimentRigP(mode Mode, params *model.Params) (*experimentRig, error) {

@@ -74,16 +74,6 @@ func NewServer(p *des.Proc, m *rmem.Manager, nodes int, geo Geometry, opts ...Se
 	return s
 }
 
-// NewServerWithStore is NewServer with the WithStore option — after a
-// crash, a new server incarnation re-exports fresh cache segments (new
-// descriptor ids and generations) over the surviving file system. Clerks
-// holding old descriptors fail with stale/revoked errors and re-wire.
-//
-// Deprecated: use NewServer with WithStore.
-func NewServerWithStore(p *des.Proc, m *rmem.Manager, nodes int, geo Geometry, store *fstore.Store) *Server {
-	return newServer(p, m, nodes, geo, store)
-}
-
 func newServer(p *des.Proc, m *rmem.Manager, nodes int, geo Geometry, store *fstore.Store) *Server {
 	geo.fill()
 	s := &Server{

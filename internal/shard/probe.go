@@ -192,7 +192,7 @@ func ReplicaRereadProbe(replicas int) (ReplicaProbeResult, error) {
 	// All assertions are read inside the proc; the chain daemons never
 	// idle, so stop as soon as it finishes rather than draining a fixed
 	// horizon of empty wakeups.
-	if err := runSteps(env, 10*time.Millisecond, 10*time.Second, func() bool { return probeDone }); err != nil {
+	if err := env.RunSteps(10*time.Millisecond, des.Time(10*time.Second), func() bool { return probeDone }); err != nil {
 		return res, err
 	}
 	if probeErr != nil {
