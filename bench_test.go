@@ -264,6 +264,25 @@ func BenchmarkScaleSix(b *testing.B) {
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }
 
+// BenchmarkSLOSmoke runs the open-loop smoke point (fsbench -slo-smoke
+// -seed 1): 100k clients on 4 shards, each under a 3-member replica chain.
+// The replication daemons dominate its events; events/op is exact for the
+// seed, so a change in it means the simulated work changed.
+func BenchmarkSLOSmoke(b *testing.B) {
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		res, err := workload.RunOpenLoop(workload.SmokeConfig(workload.ShapeSteady, 1, nil))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Report.Total.Failed != 0 {
+			b.Fatalf("%d of %d ops failed", res.Report.Total.Failed, res.Offered)
+		}
+		events = res.Events
+	}
+	b.ReportMetric(float64(events), "events/op")
+}
+
 // BenchmarkNullCallComparison pits the three transports against each
 // other on the §2 question: what does a do-nothing round trip cost?
 // Conventional RPC pays marshaling and all six control-transfer steps,

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"time"
 
 	"netmem/internal/faults"
 	"netmem/internal/stats"
@@ -29,32 +28,6 @@ func namedCampaign(name string) *faults.Campaign {
 	return &camp
 }
 
-// smokeConfig is the seed-pinned CI smoke point: one full-scale open-loop
-// run (100k clients on the 4-shard + 3-replica tier). Under a fault
-// campaign the offered rate and window shrink — link-fault campaigns
-// multiply simulator events ~50×, and the crash schedule sits at a fixed
-// virtual time the window must straddle.
-func smokeConfig(shape workload.Shape, seed int64, camp *faults.Campaign) workload.OpenLoopConfig {
-	cfg := workload.OpenLoopConfig{
-		Clients:           100_000,
-		RatePerClient:     0.05,
-		Window:            500 * time.Millisecond,
-		Shape:             shape,
-		ZipfTheta:         0.9,
-		Shards:            4,
-		Replicas:          3,
-		StragglerPerMille: 5,
-		Seed:              seed,
-		Campaign:          camp,
-	}
-	if camp != nil {
-		cfg.RatePerClient = 0.02
-		cfg.Window = 300 * time.Millisecond
-	}
-	cfg.Fill()
-	return cfg
-}
-
 // runSLOSmoke measures one open-loop point and prints it as machine lines
 // (prefix "slo-smoke:") for the committed golden, then applies the p99
 // regression gate when one was requested.
@@ -64,7 +37,7 @@ func runSLOSmoke(shapeName string, seed int64, chaosName string, gateMs float64)
 		fmt.Fprintln(os.Stderr, "fsbench:", err)
 		os.Exit(1)
 	}
-	res, err := workload.RunOpenLoop(smokeConfig(shape, seed, namedCampaign(chaosName)))
+	res, err := workload.RunOpenLoop(workload.SmokeConfig(shape, seed, namedCampaign(chaosName)))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fsbench:", err)
 		os.Exit(1)

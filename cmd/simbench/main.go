@@ -4,6 +4,10 @@
 // times each, takes the best wall-clock rep (least scheduler noise), and
 // emits a JSON report (BENCH_PR4.json in CI).
 //
+// The slo-smoke leg is the replica-chain smoke point: 4 shards, each under
+// a 3-member chain. Event counts are deterministic: a change in one means
+// the simulated work changed.
+//
 // With -baseline, it compares the mixed-campaign events/sec against a
 // previously committed report and exits nonzero when throughput regressed
 // more than -gate percent — the CI regression gate for the fast path.
@@ -65,6 +69,7 @@ func main() {
 		{"scale6-dx", func() (uint64, error) { return runScale6(dfs.DX) }},
 		{"scale6-hy", func() (uint64, error) { return runScale6(dfs.HY) }},
 		{"cas-contend", runCASContend},
+		{"slo-smoke", runSLOSmoke},
 	}
 
 	rep := Report{
@@ -158,6 +163,20 @@ func runCASContend() (uint64, error) {
 		Clerks: 8, WinsPerClerk: 200, Seed: 1})
 	if err != nil {
 		return 0, err
+	}
+	return res.Events, nil
+}
+
+// runSLOSmoke runs the open-loop smoke point (fsbench -slo-smoke -seed 1):
+// 100k clients on 4 shards, each with a 3-member replica chain, so the
+// chain push and forwarder daemons run throughout.
+func runSLOSmoke() (uint64, error) {
+	res, err := workload.RunOpenLoop(workload.SmokeConfig(workload.ShapeSteady, 1, nil))
+	if err != nil {
+		return 0, err
+	}
+	if res.Offered == 0 || res.Report.Total.Failed != 0 {
+		return 0, fmt.Errorf("%d of %d ops failed — smoke result wrong, refusing to time it", res.Report.Total.Failed, res.Offered)
 	}
 	return res.Events, nil
 }

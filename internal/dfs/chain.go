@@ -151,6 +151,7 @@ type ChainReplica struct {
 	m   *rmem.Manager
 	geo Geometry
 	seg *rmem.Segment
+	trk *rmem.Tracker // bucket slots written since the forwarder visited them
 
 	shadowVer []uint64     // per-bucket version as of the last forward pass
 	next      *rmem.Import // downstream member's chain segment; nil = tail
@@ -161,6 +162,7 @@ type ChainReplica struct {
 	running   bool
 	stopped   bool
 	onSplice  func(p *des.Proc)
+	onPass    func() // test hook: runs after every forward pass
 
 	// Stats.
 	Forwarded int64 // frames relayed downstream
@@ -179,6 +181,10 @@ func NewChainReplica(p *des.Proc, m *rmem.Manager, geo Geometry) *ChainReplica {
 	// Upstream WRITEs frames in, clerks READ them out, write-token recall
 	// WRITEs poison words — no CAS ever.
 	cr.seg.SetDefaultRights(rmem.RightRead | rmem.RightWrite)
+	// Upstream frame and poison landings mark their slot; the header is
+	// outside the tracked region. The tracker lives as long as the member,
+	// across every re-chain.
+	cr.trk = cr.seg.Track(chainHdr, chainStride, geo.DataBuckets)
 	return cr
 }
 
@@ -242,12 +248,20 @@ func (cr *ChainReplica) start(interval des.Duration) {
 // is re-pushed as a prefix, restoring the downstream poison or tearing
 // the downstream frame. The campaign's ordering guarantees the local
 // prefix has changed by the time the racing relay completes.
+//
+// Only slots the tracker marked are visited, in ascending order: a slot
+// skipped as poisoned, torn or already relayed stays so until an upstream
+// write lands in it, and that write marks it. A write landing during a
+// relay marks the slot again for the next pass.
 func (cr *ChainReplica) forwardPass(p *des.Proc) {
 	buf := cr.seg.Bytes()
 	cr.epoch = binary.BigEndian.Uint32(buf[chainHdrEpoch:])
 	maxApplied := cr.applied
 	changed := false
-	for b := 0; b < cr.geo.DataBuckets; b++ {
+	visited := 0
+	for b := cr.trk.Next(0); b >= 0; b = cr.trk.Next(b + 1) {
+		cr.trk.Clear(b)
+		visited++
 		lo := chainHdr + b*chainStride
 		frame := buf[lo : lo+chainStride]
 		if binary.BigEndian.Uint32(frame) != 0 {
@@ -302,6 +316,10 @@ func (cr *ChainReplica) forwardPass(p *des.Proc) {
 			}
 		}
 	}
+	countPass(cr.m.Node.Env, "dfs.chain.forward_visited", "dfs.chain.forward_idle_passes", visited)
+	if cr.onPass != nil {
+		cr.onPass()
+	}
 }
 
 // splice drops the dead downstream member and fires the re-chain hook.
@@ -336,7 +354,6 @@ func (cr *ChainReplica) TakeOver(p *des.Proc, store *fstore.Store, nodes int, op
 	}
 	cr.stopped = true
 	srv := NewServer(p, cr.m, nodes, cr.geo, append([]ServerOption{WithStore(store)}, opts...)...)
-	dst := srv.data.Bytes()
 	for b := 0; b < cr.geo.DataBuckets; b++ {
 		lo := chainHdr + b*chainStride
 		frame := buf[lo : lo+chainStride]
@@ -349,7 +366,7 @@ func (cr *ChainReplica) TakeOver(p *des.Proc, store *fstore.Store, nodes int, op
 		if flag, _, _, _ := getHdr(rec); flag != flagDirty {
 			continue
 		}
-		copy(dst[b*dataStride:(b+1)*dataStride], rec[:dataStride])
+		copy(srv.storeData(b*dataStride, dataStride), rec[:dataStride])
 		cr.Restored++
 	}
 	if tr := cr.m.Node.Env.Tracer(); tr != nil {

@@ -26,17 +26,25 @@ type Server struct {
 	eager    []*rmem.Import // subscribed eager-update boards (§3.2)
 	reliable bool           // WithReliableReplies: retransmitting outbound writes
 
-	standby *rmem.Import // hot-standby mirror segment (AttachStandby)
-	shadow  []byte       // data-area image as of the last mirror pass
-	guard   WriteGuard   // mutation gate (SetWriteGuard); nil allows all
+	standby      *rmem.Import  // hot-standby mirror segment (AttachStandby)
+	shadow       []byte        // data-area image as of the last mirror pass
+	mirrorTrk    *rmem.Tracker // data buckets written since the mirror visited them
+	mirrorDaemon bool          // mirror daemon spawned
+	guard        WriteGuard    // mutation gate (SetWriteGuard); nil allows all
 
 	chainHead    *rmem.Import   // first chain member's segment (AttachChain)
 	chainMembers []*rmem.Import // every member's segment, chain order (abort re-poison)
 	chainState   *rmem.Segment  // exported version watermark / recall marker table
 	chainShadow  []byte         // data-area image as of the last chain pass
+	chainTrk     *rmem.Tracker  // data buckets written since the chain pass visited them
+	stateTrk     *rmem.Tracker  // chain-state entries (R/D recall markers) written since visited
 	chainSeq     uint64         // monotone frame version (epoch in high 32 bits)
 	chainEpoch   uint32         // replica-set epoch
 	chainDaemon  bool           // chain push daemon spawned
+
+	// onPass, when set, runs after every mirror ("mirror") or chain
+	// ("chain") pass; tests check the trackers against a full-area diff.
+	onPass func(kind string)
 
 	// Stats.
 	MissCalls    int64        // requests that reached the server procedure
@@ -159,6 +167,15 @@ func (s *Server) AttachStandby(p *des.Proc, sb *Standby, interval des.Duration) 
 		s.m.WriteFaults = append(s.m.WriteFaults, fmt.Errorf("dfs: mirror header: %w", err))
 	}
 	s.shadow = append([]byte(nil), s.data.Bytes()...)
+	// The shadow starts equal to the data area, so only later stores need
+	// a visit. A repeated attach keeps the tracker and the daemon.
+	if s.mirrorTrk == nil {
+		s.mirrorTrk = s.data.Track(0, dataStride, s.Geo.DataBuckets)
+	}
+	if s.mirrorDaemon {
+		return
+	}
+	s.mirrorDaemon = true
 	s.m.Node.Env.SpawnDaemon(fmt.Sprintf("dfs.mirror.%d", s.m.Node.ID), func(p *des.Proc) {
 		for {
 			p.Sleep(interval)
@@ -176,9 +193,18 @@ func (s *Server) AttachStandby(p *des.Proc, sb *Standby, interval des.Duration) 
 // installs (warm-up, read misses) are reconstructible from the file store
 // and are deliberately not mirrored: the steady-state mirror traffic is
 // proportional to the write-behind window, not the cache size.
+//
+// Only buckets the mirror tracker marked are visited, in ascending order;
+// a bucket whose bytes differ from the shadow has always been written
+// since its last visit. A store landing during a push marks the bucket
+// again.
 func (s *Server) mirrorPass(p *des.Proc) {
 	buf := s.data.Bytes()
-	for b := 0; b < s.Geo.DataBuckets; b++ {
+	visited := 0
+	defer func() { s.passDone("mirror", "dfs.mirror.visited", "dfs.mirror.idle_passes", visited) }()
+	for b := s.mirrorTrk.Next(0); b >= 0; b = s.mirrorTrk.Next(b + 1) {
+		s.mirrorTrk.Clear(b)
+		visited++
 		lo := b * dataStride
 		cur := buf[lo : lo+dataStride]
 		old := s.shadow[lo : lo+dataStride]
@@ -194,6 +220,7 @@ func (s *Server) mirrorPass(p *des.Proc) {
 		}
 		if err := s.standby.WriteBlock(p, mirrorHdr+lo, cur, false); err != nil {
 			s.m.WriteFaults = append(s.m.WriteFaults, fmt.Errorf("dfs: mirror bucket %d: %w", b, err))
+			s.mirrorTrk.Mark(b) // retried next pass, like the buckets not yet reached
 			return
 		}
 		copy(old, cur)
@@ -201,6 +228,27 @@ func (s *Server) mirrorPass(p *des.Proc) {
 		if tr := s.m.Node.Env.Tracer(); tr != nil {
 			tr.Count("dfs.mirror.buckets", 1)
 		}
+	}
+}
+
+// passDone records one mirror or chain pass and runs the test hook.
+func (s *Server) passDone(kind, visitedKey, idleKey string, visited int) {
+	countPass(s.m.Node.Env, visitedKey, idleKey, visited)
+	if s.onPass != nil {
+		s.onPass(kind)
+	}
+}
+
+// countPass records one replication pass: the buckets it visited, or an
+// idle pass (an empty daemon tick) when nothing was marked.
+func countPass(env *des.Env, visitedKey, idleKey string, visited int) {
+	tr := env.Tracer()
+	switch {
+	case tr == nil:
+	case visited == 0:
+		tr.Count(idleKey, 1)
+	default:
+		tr.Count(visitedKey, int64(visited))
 	}
 }
 
@@ -228,6 +276,13 @@ func (s *Server) AttachChain(p *des.Proc, epoch uint32, members []*ChainReplica,
 	// Members WRITE ack words in; token grants READ watermarks out.
 	st.SetDefaultRights(rmem.RightRead | rmem.RightWrite)
 	s.chainState = st
+	// Recall markers (R, D) landing in an entry mark its bucket; the ack
+	// words past the entries are outside the tracked region. The previous
+	// chain-state segment's tracker is released with it.
+	if s.stateTrk != nil {
+		s.stateTrk.Untrack()
+	}
+	s.stateTrk = st.Track(chainStateHdr, chainStateStride, buckets)
 	s.chainEpoch = epoch
 	// Frame versions carry the epoch in their high 32 bits: monotone
 	// across failover epochs for any realizable push count, and always
@@ -287,6 +342,10 @@ func (s *Server) AttachChain(p *des.Proc, epoch uint32, members []*ChainReplica,
 	// A zero shadow (unlike the mirror's live snapshot): warm clean blocks
 	// must reach the replicas too, since they serve reads, not just takeover.
 	s.chainShadow = make([]byte, len(s.data.Bytes()))
+	if s.chainTrk == nil {
+		s.chainTrk = s.data.Track(0, dataStride, buckets)
+	}
+	s.chainTrk.MarkAll()
 	if !s.chainDaemon {
 		s.chainDaemon = true
 		s.m.Node.Env.SpawnDaemon(fmt.Sprintf("dfs.chainpush.%d", s.m.Node.ID), func(p *des.Proc) {
@@ -324,16 +383,30 @@ func (s *Server) AttachChain(p *des.Proc, epoch uint32, members []*ChainReplica,
 // aborted version number is thereby never admitted by any floor: floors
 // are only stamped when R == D == C (tokens.RWClient.stampWatermark),
 // and by then the published version exceeds every aborted one.
+//
+// Only buckets marked in the data-area tracker or the chain-state tracker
+// (a recall marker landed) are visited, in ascending order; every other
+// bucket's bytes and markers are unchanged since a visit that left nothing
+// to push. A skipped recalled bucket, and a bucket whose push failed, are
+// marked again so the next pass revisits them.
 func (s *Server) chainPass(p *des.Proc) {
 	buf := s.data.Bytes()
-	frame := make([]byte, chainStride)
-	for b := 0; b < s.Geo.DataBuckets; b++ {
+	var frame []byte
+	visited := 0
+	defer func() { s.passDone("chain", "dfs.chain.visited", "dfs.chain.idle_passes", visited) }()
+	for b := s.nextChainBucket(0); b >= 0; b = s.nextChainBucket(b + 1) {
+		s.chainTrk.Clear(b)
+		s.stateTrk.Clear(b)
+		visited++
 		st := s.chainState.Bytes() // remote marker writes land between sleeps
 		entry := st[ChainStateVerOff(b):]
 		r := binary.BigEndian.Uint32(entry[ChainStateROff:])
 		d := binary.BigEndian.Uint32(entry[ChainStateDOff:])
 		if r != d {
-			continue // recalled, deposit still in flight: keep the poison
+			// Recalled, deposit still in flight: keep the poison, and look
+			// again next pass (D landing in the entry marks it as well).
+			s.stateTrk.Mark(b)
+			continue
 		}
 		cc := binary.BigEndian.Uint32(entry[chainStateCOff:])
 		lo := b * dataStride
@@ -344,6 +417,9 @@ func (s *Server) chainPass(p *des.Proc) {
 		}
 		s.chainSeq += 2
 		v := s.chainSeq
+		if frame == nil {
+			frame = make([]byte, chainStride)
+		}
 		// Snapshot into the frame before the (reliable, sleeping) push — a
 		// deposit landing in this bucket mid-push must not tear the frame.
 		// The leading zero word clears the members' recall poison.
@@ -353,6 +429,7 @@ func (s *Server) chainPass(p *des.Proc) {
 		binary.BigEndian.PutUint64(frame[chainStride-8:], v)
 		if err := s.chainHead.WriteBlock(p, ChainFrameOff(b), frame, false); err != nil {
 			s.m.WriteFaults = append(s.m.WriteFaults, fmt.Errorf("dfs: chain bucket %d: %w", b, err))
+			s.chainTrk.Mark(b) // retried next pass, like the buckets not yet reached
 			return
 		}
 		st = s.chainState.Bytes()
@@ -374,6 +451,16 @@ func (s *Server) chainPass(p *des.Proc) {
 			tr.Count("dfs.chain.push", 1)
 		}
 	}
+}
+
+// nextChainBucket returns the lowest bucket at or after b marked in either
+// chain tracker, or -1.
+func (s *Server) nextChainBucket(b int) int {
+	d, m := s.chainTrk.Next(b), s.stateTrk.Next(b)
+	if d < 0 || (m >= 0 && m < d) {
+		return m
+	}
+	return d
 }
 
 // abortChainPush re-poisons bucket b on every chain member after a push
@@ -460,7 +547,7 @@ func (s *Server) MigrateBuckets(p *des.Proc, dst func(fstore.Handle) (*rmem.Impo
 			// The shadow copy is left alone: the next mirror pass sees the
 			// dirty→empty transition and pushes the cleared bucket, so a
 			// standby cannot replay a block the donor no longer owns.
-			binary.BigEndian.PutUint32(rec, flagEmpty)
+			binary.BigEndian.PutUint32(s.storeData(lo, 4), flagEmpty)
 			cleared++
 		}
 	}
@@ -528,11 +615,19 @@ func (s *Server) installLink(h fstore.Handle, target string) {
 	copy(buf[recHdr:], target)
 }
 
+// storeData returns data-area bytes [off, off+n) for a local store and
+// marks them written, so the mirror and chain daemons visit the bucket.
+// Every store the server makes into its data area goes through here;
+// clerk deposits are marked by the memory system as they land.
+func (s *Server) storeData(off, n int) []byte {
+	s.data.MarkWritten(off, n)
+	return s.data.Bytes()[off : off+n]
+}
+
 func (s *Server) installData(h fstore.Handle, block int64, data []byte) {
-	off := s.Geo.dataOff(h, block)
-	buf := s.data.Bytes()[off:]
+	buf := s.storeData(s.Geo.dataOff(h, block), dataStride)
 	putHdr(buf, flagValid, h, uint32(block), len(data))
-	copy(buf[recHdr:recHdr+fstore.BlockSize], make([]byte, fstore.BlockSize))
+	clear(buf[recHdr : recHdr+fstore.BlockSize])
 	copy(buf[recHdr:], data)
 }
 
@@ -637,7 +732,7 @@ func (s *Server) syncHandle(p *des.Proc, h fstore.Handle) error {
 		if _, err := s.Store.Write(key, int64(block)*fstore.BlockSize, buf[recHdr:recHdr+n]); err != nil {
 			return fmt.Errorf("dfs: sync %v block %d: %w", key, block, err)
 		}
-		binary.BigEndian.PutUint32(buf, flagValid)
+		binary.BigEndian.PutUint32(s.storeData(b*dataStride, 4), flagValid)
 		s.Synced++
 	}
 	return nil
@@ -650,7 +745,7 @@ func (s *Server) refreshCachedBlocks(h fstore.Handle) {
 		buf := s.data.Bytes()[b*dataStride:]
 		if flag, key, block, _ := getHdr(buf); flag != flagEmpty && key == h {
 			if _, err := s.loadBlock(h, int64(block)); err != nil {
-				binary.BigEndian.PutUint32(buf, flagEmpty)
+				binary.BigEndian.PutUint32(s.storeData(b*dataStride, 4), flagEmpty)
 			}
 		}
 	}
@@ -679,7 +774,7 @@ func (s *Server) Sync(p *des.Proc) (int, error) {
 		if _, err := s.Store.Write(key, int64(block)*fstore.BlockSize, buf[recHdr:recHdr+n]); err != nil {
 			return applied, fmt.Errorf("dfs: sync %v block %d: %w", key, block, err)
 		}
-		binary.BigEndian.PutUint32(buf, flagValid)
+		binary.BigEndian.PutUint32(s.storeData(b*dataStride, 4), flagValid)
 		a, err := s.Store.GetAttr(key)
 		if err == nil {
 			s.installAttr(key, a)

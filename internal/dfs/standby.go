@@ -66,13 +66,12 @@ func (sb *Standby) TakeOver(p *des.Proc, store *fstore.Store, nodes int, opts ..
 			db, sb.geo.DataBuckets)
 	}
 	srv := NewServer(p, sb.m, nodes, sb.geo, append([]ServerOption{WithStore(store)}, opts...)...)
-	dst := srv.data.Bytes()
 	for b := 0; b < sb.geo.DataBuckets; b++ {
 		rec := hdr[mirrorHdr+b*dataStride:]
 		if flag, _, _, _ := getHdr(rec); flag != flagDirty {
 			continue
 		}
-		copy(dst[b*dataStride:(b+1)*dataStride], rec[:dataStride])
+		copy(srv.storeData(b*dataStride, dataStride), rec[:dataStride])
 		sb.Restored++
 	}
 	if tr := sb.m.Node.Env.Tracer(); tr != nil {

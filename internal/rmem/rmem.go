@@ -188,6 +188,9 @@ type Segment struct {
 	notes    *des.FIFO[Notification]
 	nwaiters *des.WaitQueue
 
+	// trackers are the consumers' write-tracking bitmaps (Track).
+	trackers []*Tracker
+
 	// Stats.
 	RemoteWrites, RemoteReads, RemoteCAS int64
 	Notifies                             int64

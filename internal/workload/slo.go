@@ -96,6 +96,33 @@ func (c SLOSweepConfig) PointConfig(shape Shape, theta float64) OpenLoopConfig {
 	return cfg
 }
 
+// SmokeConfig is the seed-pinned smoke point (fsbench -slo-smoke, the
+// simbench slo-smoke leg): one full-scale open-loop run, 100k clients on
+// the 4-shard tier with a 3-member replica chain per shard. Under a fault
+// campaign the offered rate and window shrink — link-fault campaigns
+// multiply simulator events ~50×, and the crash schedule sits at a fixed
+// virtual time the window must straddle.
+func SmokeConfig(shape Shape, seed int64, camp *faults.Campaign) OpenLoopConfig {
+	cfg := OpenLoopConfig{
+		Clients:           100_000,
+		RatePerClient:     0.05,
+		Window:            500 * time.Millisecond,
+		Shape:             shape,
+		ZipfTheta:         0.9,
+		Shards:            4,
+		Replicas:          3,
+		StragglerPerMille: 5,
+		Seed:              seed,
+		Campaign:          camp,
+	}
+	if camp != nil {
+		cfg.RatePerClient = 0.02
+		cfg.Window = 300 * time.Millisecond
+	}
+	cfg.Fill()
+	return cfg
+}
+
 // RunSLOSweep measures every (shape, theta) grid cell.
 func RunSLOSweep(cfg SLOSweepConfig) (*BenchSLO, error) {
 	cfg.fill()
