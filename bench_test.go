@@ -267,9 +267,10 @@ func BenchmarkScaleSix(b *testing.B) {
 // BenchmarkSLOSmoke runs the open-loop smoke point (fsbench -slo-smoke
 // -seed 1): 100k clients on 4 shards, each under a 3-member replica chain.
 // The replication daemons dominate its events; events/op is exact for the
-// seed, so a change in it means the simulated work changed.
+// seed, so a change in it means the simulated work changed. handoffs/op
+// (coroutine switches into a process, des.Counters) is exact too.
 func BenchmarkSLOSmoke(b *testing.B) {
-	var events uint64
+	var events, handoffs uint64
 	for i := 0; i < b.N; i++ {
 		res, err := workload.RunOpenLoop(workload.SmokeConfig(workload.ShapeSteady, 1, nil))
 		if err != nil {
@@ -278,9 +279,10 @@ func BenchmarkSLOSmoke(b *testing.B) {
 		if res.Report.Total.Failed != 0 {
 			b.Fatalf("%d of %d ops failed", res.Report.Total.Failed, res.Offered)
 		}
-		events = res.Events
+		events, handoffs = res.Events, res.Sched.Handoffs
 	}
 	b.ReportMetric(float64(events), "events/op")
+	b.ReportMetric(float64(handoffs), "handoffs/op")
 }
 
 // BenchmarkNullCallComparison pits the three transports against each

@@ -6,7 +6,9 @@
 //
 // The slo-smoke leg is the replica-chain smoke point: 4 shards, each under
 // a 3-member chain. Event counts are deterministic: a change in one means
-// the simulated work changed.
+// the simulated work changed. So are the kernel's scheduling-path counts
+// printed beside them (des.Counters): coroutine hand-offs, self-wakes and
+// purged timers.
 //
 // With -baseline, it compares the mixed-campaign events/sec against a
 // previously committed report and exits nonzero when throughput regressed
@@ -27,6 +29,7 @@ import (
 	"time"
 
 	"netmem/internal/consensus"
+	"netmem/internal/des"
 	"netmem/internal/dfs"
 	"netmem/internal/faults"
 	"netmem/internal/scenario"
@@ -40,6 +43,10 @@ type Result struct {
 	WallSeconds  float64 `json:"wall_seconds"` // best rep
 	Events       uint64  `json:"events"`       // simulator events in one rep
 	EventsPerSec float64 `json:"events_per_sec"`
+	// Kernel scheduling-path counts of the same rep (des.Counters).
+	Handoffs  uint64 `json:"handoffs"`
+	SelfWakes uint64 `json:"self_wakes"`
+	Purged    uint64 `json:"purged_timers"`
 }
 
 // Report is the emitted JSON document.
@@ -63,11 +70,11 @@ func main() {
 
 	benches := []struct {
 		name string
-		run  func() (uint64, error)
+		run  func() (uint64, des.Counters, error)
 	}{
 		{mixedChaosName, runMixedChaos},
-		{"scale6-dx", func() (uint64, error) { return runScale6(dfs.DX) }},
-		{"scale6-hy", func() (uint64, error) { return runScale6(dfs.HY) }},
+		{"scale6-dx", func() (uint64, des.Counters, error) { return runScale6(dfs.DX) }},
+		{"scale6-hy", func() (uint64, des.Counters, error) { return runScale6(dfs.HY) }},
 		{"cas-contend", runCASContend},
 		{"slo-smoke", runSLOSmoke},
 	}
@@ -82,7 +89,7 @@ func main() {
 		res := Result{Name: bm.name, Reps: *reps}
 		for r := 0; r < *reps; r++ {
 			start := time.Now()
-			events, err := bm.run()
+			events, sched, err := bm.run()
 			wall := time.Since(start).Seconds()
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "simbench: %s: %v\n", bm.name, err)
@@ -91,11 +98,12 @@ func main() {
 			if r == 0 || wall < res.WallSeconds {
 				res.WallSeconds = wall
 				res.Events = events
+				res.Handoffs, res.SelfWakes, res.Purged = sched.Handoffs, sched.SelfWakes, sched.Purged
 			}
 		}
 		res.EventsPerSec = float64(res.Events) / res.WallSeconds
-		fmt.Printf("%-12s %d reps  best %8.3fs  %9d events  %12.0f events/sec\n",
-			res.Name, res.Reps, res.WallSeconds, res.Events, res.EventsPerSec)
+		fmt.Printf("%-12s %d reps  best %8.3fs  %9d events  %12.0f events/sec  %9d handoffs  %9d self-wakes  %8d purged\n",
+			res.Name, res.Reps, res.WallSeconds, res.Events, res.EventsPerSec, res.Handoffs, res.SelfWakes, res.Purged)
 		rep.Benchmarks = append(rep.Benchmarks, res)
 	}
 
@@ -125,60 +133,61 @@ func main() {
 }
 
 // runMixedChaos runs the full mixed campaign (loss + corruption + dup +
-// reorder + crash/failover) once and returns the simulator event count.
-func runMixedChaos() (uint64, error) {
+// reorder + crash/failover) once and returns the simulator event count
+// and scheduling-path counts.
+func runMixedChaos() (uint64, des.Counters, error) {
 	camp, ok := faults.Named("mixed")
 	if !ok {
-		return 0, fmt.Errorf("mixed campaign not registered")
+		return 0, des.Counters{}, fmt.Errorf("mixed campaign not registered")
 	}
 	res, err := scenario.Run(scenario.Config{Campaign: camp, Seed: 1, Mode: dfs.DX})
 	if err != nil {
-		return 0, err
+		return 0, des.Counters{}, err
 	}
 	if res.Completed != len(res.Ops) {
-		return 0, fmt.Errorf("goodput %d/%d — campaign result wrong, refusing to time it", res.Completed, len(res.Ops))
+		return 0, des.Counters{}, fmt.Errorf("goodput %d/%d — campaign result wrong, refusing to time it", res.Completed, len(res.Ops))
 	}
-	return res.Events, nil
+	return res.Events, res.Sched, nil
 }
 
 // runScale6 runs the six-client closed-loop mix once in the given mode.
-func runScale6(mode dfs.Mode) (uint64, error) {
+func runScale6(mode dfs.Mode) (uint64, des.Counters, error) {
 	pt, err := workload.RunScale(workload.ScaleConfig{
 		Clients: 6, Mode: mode, Window: time.Second, ThinkTime: 2 * time.Millisecond})
 	if err != nil {
-		return 0, err
+		return 0, des.Counters{}, err
 	}
 	if pt.OpsDone == 0 {
-		return 0, fmt.Errorf("no operations completed")
+		return 0, des.Counters{}, fmt.Errorf("no operations completed")
 	}
-	return pt.Events, nil
+	return pt.Events, pt.Sched, nil
 }
 
 // runCASContend runs the consensus CAS-contention scramble — eight clerks
 // hammering one acceptor word with one-sided CAS — once. RunCASBench
 // self-validates (exact final count, zero acceptor agreement CPU), so a
 // wrong result fails the bench instead of being timed.
-func runCASContend() (uint64, error) {
+func runCASContend() (uint64, des.Counters, error) {
 	res, err := consensus.RunCASBench(consensus.CASBenchConfig{
 		Clerks: 8, WinsPerClerk: 200, Seed: 1})
 	if err != nil {
-		return 0, err
+		return 0, des.Counters{}, err
 	}
-	return res.Events, nil
+	return res.Events, res.Sched, nil
 }
 
 // runSLOSmoke runs the open-loop smoke point (fsbench -slo-smoke -seed 1):
 // 100k clients on 4 shards, each with a 3-member replica chain, so the
 // chain push and forwarder daemons run throughout.
-func runSLOSmoke() (uint64, error) {
+func runSLOSmoke() (uint64, des.Counters, error) {
 	res, err := workload.RunOpenLoop(workload.SmokeConfig(workload.ShapeSteady, 1, nil))
 	if err != nil {
-		return 0, err
+		return 0, des.Counters{}, err
 	}
 	if res.Offered == 0 || res.Report.Total.Failed != 0 {
-		return 0, fmt.Errorf("%d of %d ops failed — smoke result wrong, refusing to time it", res.Report.Total.Failed, res.Offered)
+		return 0, des.Counters{}, fmt.Errorf("%d of %d ops failed — smoke result wrong, refusing to time it", res.Report.Total.Failed, res.Offered)
 	}
-	return res.Events, nil
+	return res.Events, res.Sched, nil
 }
 
 // checkGate fails when the mixed-campaign events/sec fell more than pct

@@ -38,6 +38,7 @@ type CASBenchResult struct {
 	Window       time.Duration // simulated time for the whole scramble
 	PerWin       time.Duration // mean simulated time per successful CAS
 	Events       uint64        // simulator events executed
+	Sched        des.Counters  // kernel scheduling-path counts
 	// AgreementCPU is proc+control+client time on the acceptor node during
 	// the scramble — the paper's claim is that this is exactly zero.
 	AgreementCPU time.Duration
@@ -157,5 +158,6 @@ func RunCASBench(cfg CASBenchConfig) (*CASBenchResult, error) {
 		res.PerWin = res.Window / time.Duration(res.Wins)
 	}
 	res.Events = env.Events()
+	res.Sched = env.Counters()
 	return res, nil
 }

@@ -10,8 +10,8 @@ import (
 // paths, and events/sec for raw event-loop throughput.
 
 // BenchmarkSleepSelfWake measures the hottest path in the simulator: a
-// process sleeping and resuming itself. With direct hand-off this is one
-// heap push + pop and zero channel operations or allocations.
+// process sleeping and resuming itself: one heap push + pop, no coroutine
+// switch and no allocation.
 func BenchmarkSleepSelfWake(b *testing.B) {
 	env := NewEnv()
 	env.Spawn("sleeper", func(p *Proc) {
@@ -67,7 +67,9 @@ func BenchmarkScheduleCancel(b *testing.B) {
 
 // BenchmarkWakeOneHandoff measures the two-process rendezvous: a waiter
 // parked on a WaitQueue, woken by a peer, over and over. Each round is one
-// wake event plus one sleep event and exactly one goroutine hand-off.
+// wake event plus one sleep event and two hand-offs (waker to waiter and
+// back), each a yield to the Run trampoline and a next into the woken
+// coroutine.
 func BenchmarkWakeOneHandoff(b *testing.B) {
 	env := NewEnv()
 	wq := NewWaitQueue(env)

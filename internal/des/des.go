@@ -1,6 +1,6 @@
 // Package des implements a deterministic discrete-event simulation kernel.
 //
-// The kernel provides virtual time, an event queue, goroutine-backed
+// The kernel provides virtual time, an event queue, coroutine-backed
 // simulated processes, and FIFO resources (used to model CPUs and other
 // serially shared hardware). Exactly one goroutine — the Run caller or a
 // single simulated process — runs at any instant, so simulated code
@@ -8,27 +8,34 @@
 // timestamp fire in the order they were scheduled.
 //
 // A simulated process is an ordinary function executing on its own
-// goroutine. It advances virtual time only through the blocking primitives
-// on *Proc (Sleep, Acquire, FIFO.Get, …); pure computation between those
-// calls is instantaneous in virtual time. This lets functional behaviour
-// (moving real bytes, probing real hash tables) be written as straight-line
-// Go while the timing model stays explicit.
+// coroutine (iter.Pull). It advances virtual time only through the
+// blocking primitives on *Proc (Sleep, Acquire, FIFO.Get, …); pure
+// computation between those calls is instantaneous in virtual time. This
+// lets functional behaviour (moving real bytes, probing real hash tables)
+// be written as straight-line Go while the timing model stays explicit.
 //
 // # Scheduling fast path
 //
-// There is no dedicated scheduler goroutine. The event loop runs on
-// whichever goroutine last blocked: a process that calls Sleep pops and
-// executes events itself until one of them resumes it (zero context
-// switches for a self-wake) or resumes another process (one channel
-// hand-off, not two). Event records are pooled and carry either a bare
-// callback or a process pointer, so the hot Sleep/WakeOne paths allocate
-// nothing. None of this changes virtual-time results: events still fire
-// in (time, schedule-order) order, only the OS goroutine executing the
-// loop differs.
+// Run is a trampoline on its caller's goroutine: it pops events and
+// resumes the process an event names by calling that process's iter.Pull
+// next function, a direct coroutine switch that bypasses the Go
+// scheduler. A process that blocks keeps running the loop inline on its
+// own stack, firing callback events until the next process event. If that
+// event is its own, it simply returns (a self-wake costs no switch at
+// all); otherwise it yields the process to resume back to the trampoline
+// (two coroutine switches, no channel operation). Event records are pooled
+// and carry either a bare callback or a process pointer, so the hot
+// Sleep/WakeOne paths allocate nothing. Cancelled timers stay in the heap
+// (cancel is O(1)) until they make up most of it; then they are purged in
+// one pass. None of this changes virtual-time results: events still fire
+// in (time, schedule-order) order, only the goroutine executing the loop
+// differs.
+//
+// Env.Counters reports how often each path ran; the counts are as
+// deterministic as the event count.
 package des
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -54,8 +61,9 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // event is a scheduled occurrence: either a callback (fn) run in scheduler
 // context or the resumption of a blocked process (proc). Records are pooled
 // on the Env; gen disarms stale cancel handles after a record is recycled.
-// Cancelled events stay in the heap and are skipped when popped; this makes
-// timer cancellation O(1).
+// Cancelled events stay in the heap and are skipped when popped, which
+// makes timer cancellation O(1); Env.cancel purges them in bulk once they
+// dominate the heap.
 type event struct {
 	at        Time
 	seq       uint64 // tie-breaker: schedule order
@@ -75,9 +83,10 @@ func (ev *event) before(o *event) bool {
 }
 
 // eventQueue is a 4-ary min-heap of pooled event records. Events are never
-// removed from the middle (cancellation is lazy), so no per-element index
-// bookkeeping is needed, and the shallow 4-ary layout roughly halves the
-// levels touched per sift compared to a binary heap.
+// removed from the middle (cancellation is lazy, purging rebuilds the
+// heap), so no per-element index bookkeeping is needed, and the shallow
+// 4-ary layout roughly halves the levels touched per sift compared to a
+// binary heap.
 type eventQueue struct {
 	a []*event
 }
@@ -103,54 +112,69 @@ func (q *eventQueue) pop() *event {
 	a := q.a
 	n := len(a) - 1
 	top := a[0]
-	last := a[n]
+	a[0] = a[n]
 	a[n] = nil
-	a = a[:n]
-	if n > 0 {
-		i := 0
-		for {
-			c := i<<2 + 1
-			if c >= n {
-				break
-			}
-			min := c
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			for j := c + 1; j < end; j++ {
-				if a[j].before(a[min]) {
-					min = j
-				}
-			}
-			if !a[min].before(last) {
-				break
-			}
-			a[i] = a[min]
-			i = min
-		}
-		a[i] = last
+	q.a = a[:n]
+	if n > 1 {
+		q.down(0)
 	}
-	q.a = a
 	return top
+}
+
+// down sifts a[i] towards the leaves until the heap order holds below it.
+func (q *eventQueue) down(i int) {
+	a := q.a
+	n := len(a)
+	ev := a[i]
+	for {
+		c := i<<2 + 1
+		if c >= n {
+			break
+		}
+		min := c
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		for j := c + 1; j < end; j++ {
+			if a[j].before(a[min]) {
+				min = j
+			}
+		}
+		if !a[min].before(ev) {
+			break
+		}
+		a[i] = a[min]
+		i = min
+	}
+	a[i] = ev
+}
+
+// heapify restores the heap order of an arbitrarily ordered slice.
+func (q *eventQueue) heapify() {
+	for i := (len(q.a) - 2) >> 2; i >= 0; i-- {
+		q.down(i)
+	}
 }
 
 // Env is a simulation environment: the event queue, the clock, and the
 // bookkeeping that hands control between the event loop and at most one
 // simulated process at a time. Create one with NewEnv; an Env must not be
-// shared across real OS threads while Run is in progress.
+// shared across real OS threads while Run is in progress. Separate Envs
+// share nothing and may run concurrently.
 type Env struct {
-	now      Time
-	queue    eventQueue
-	seq      uint64
-	pool     []*event      // free list of recycled event records
-	mainWake chan struct{} // wakes the Run goroutine at termination
-	stop     func() bool   // RunUntil predicate for the current run
-	runErr   error         // outcome of the current run
-	inProc   bool          // true while a simulated process is executing
-	nprocs   int           // live (spawned, not finished) processes
-	halted   bool
-	executed uint64 // events fired over the environment's lifetime
+	now       Time
+	queue     eventQueue
+	seq       uint64
+	pool      []*event    // free list of recycled event records
+	cancelled int         // cancelled records still in the queue
+	stop      func() bool // RunUntil predicate for the current run
+	runErr    error       // outcome of the current run
+	inProc    bool        // true while a simulated process is executing
+	nprocs    int         // live (spawned, not finished) processes
+	halted    bool
+	executed  uint64   // events fired over the environment's lifetime
+	counters  Counters // scheduling-path counts over the same lifetime
 
 	obs *obs.Tracer // nil = observability disabled
 
@@ -202,7 +226,7 @@ func (e *Env) Tracer() *obs.Tracer { return e.obs }
 
 // NewEnv returns an empty simulation environment at time zero.
 func NewEnv() *Env {
-	return &Env{mainWake: make(chan struct{})}
+	return &Env{}
 }
 
 // Now returns the current virtual time.
@@ -212,6 +236,24 @@ func (e *Env) Now() Time { return e.now }
 // ones excluded) over the environment's lifetime. Benchmarks divide this by
 // wall-clock time for an events/sec figure.
 func (e *Env) Events() uint64 { return e.executed }
+
+// Counters are exact counts of the scheduling paths the kernel took over an
+// environment's lifetime. Like Events they depend only on the simulated
+// work, never on the host, so they can be gated exactly.
+type Counters struct {
+	// Handoffs counts switches into a process's coroutine: its first
+	// activation and every resumption other than a self-wake.
+	Handoffs uint64
+	// SelfWakes counts resumptions in which the blocked process popped
+	// its own wake-up event and simply returned, with no switch.
+	SelfWakes uint64
+	// Purged counts cancelled timers dropped from the event queue by a
+	// bulk purge rather than popped one by one.
+	Purged uint64
+}
+
+// Counters returns the scheduling-path counts so far.
+func (e *Env) Counters() Counters { return e.counters }
 
 // alloc takes an event record from the pool, or makes one.
 func (e *Env) alloc() *event {
@@ -264,104 +306,57 @@ func (e *Env) ScheduleFunc(at Time, fn func()) {
 // Schedule arranges for fn to run in scheduler context at time at (clamped
 // to now if in the past). It returns a cancel function; cancelling after
 // the event has fired is a no-op. fn must not block — it runs on the
-// event-loop goroutine. To start blocking work, Spawn a process instead.
+// event loop. To start blocking work, Spawn a process instead.
 func (e *Env) Schedule(at Time, fn func()) (cancel func()) {
 	ev := e.schedule(at)
 	ev.fn = fn
 	gen := ev.gen
-	return func() {
-		if ev.gen == gen {
-			ev.cancelled = true
+	return func() { e.cancel(ev, gen) }
+}
+
+// purgeMin is the number of cancelled records the queue tolerates before a
+// purge is considered at all; below it a purge is not worth the rebuild.
+var purgeMin = 32
+
+// cancel disarms the record armed as generation gen. A record whose
+// generation moved on has fired or been purged already. Once more than
+// purgeMin cancelled records sit in the queue and they outnumber the live
+// ones, all of them are dropped in one pass and the heap is rebuilt.
+// (time, seq) keys are unique, so the live events pop in the same order
+// either way.
+func (e *Env) cancel(ev *event, gen uint64) {
+	if ev.gen != gen || ev.cancelled {
+		return
+	}
+	ev.cancelled = true
+	e.cancelled++
+	if e.cancelled > purgeMin && 2*e.cancelled > e.queue.len() {
+		e.purge()
+	}
+}
+
+// purge drops every cancelled record from the queue, recycling it, and
+// re-heapifies what is left.
+func (e *Env) purge() {
+	a := e.queue.a
+	live := a[:0]
+	for _, ev := range a {
+		if ev.cancelled {
+			e.recycle(ev)
+		} else {
+			live = append(live, ev)
 		}
 	}
+	clear(a[len(live):])
+	e.counters.Purged += uint64(e.cancelled)
+	e.cancelled = 0
+	e.queue.a = live
+	e.queue.heapify()
 }
 
 // After schedules fn to run d from now. See Schedule.
 func (e *Env) After(d Duration, fn func()) (cancel func()) {
 	return e.Schedule(e.now.Add(d), fn)
-}
-
-// Proc is a simulated process. All blocking primitives must be called from
-// the process's own goroutine (the function passed to Spawn); calling them
-// from anywhere else corrupts the simulation and panics where detectable.
-type Proc struct {
-	env      *Env
-	name     string
-	resume   chan struct{}
-	woken    bool // set by the waker for wait-queue hand-offs
-	finished bool
-}
-
-// Env returns the environment the process runs in.
-func (p *Proc) Env() *Env { return p.env }
-
-// Name returns the diagnostic name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.env.now }
-
-// Spawn creates a process that runs fn, beginning at the current virtual
-// time (after already-scheduled events at this time). It may be called from
-// scheduler context or from another process.
-func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
-	return e.spawn(name, fn, false)
-}
-
-// SpawnDaemon is Spawn for perpetual service loops (link pumps, kernel
-// drain loops). Daemons blocked with no pending events are normal — they
-// are waiting for future work — so they are excluded from Run's deadlock
-// check.
-func (e *Env) SpawnDaemon(name string, fn func(*Proc)) *Proc {
-	return e.spawn(name, fn, true)
-}
-
-func (e *Env) spawn(name string, fn func(*Proc), daemon bool) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan struct{})}
-	if !daemon {
-		e.nprocs++
-	}
-	if e.obs != nil {
-		e.obs.Count("des.proc.spawned", 1)
-		e.obs.Instant("sched", "des", "spawn "+name, time.Duration(e.now))
-	}
-	go func() {
-		// The deferred hand-off runs even if fn exits via runtime.Goexit
-		// (e.g. t.Fatal inside simulated test code), so one dying process
-		// cannot wedge the event loop: the dying goroutine drives the loop
-		// just long enough to pass control onward, then exits.
-		defer func() {
-			p.finished = true
-			if !daemon {
-				e.nprocs--
-			}
-			if e.obs != nil {
-				e.obs.Instant("sched", "des", "exit "+name, time.Duration(e.now))
-			}
-			e.loop(nil, true)
-		}()
-		<-p.resume // first activation
-		fn(p)
-	}()
-	e.scheduleProc(e.now, p)
-	return p
-}
-
-// block parks the calling process: its goroutine takes over the event loop
-// until some event resumes this process (directly, with zero channel
-// hand-offs, if the resuming event is the next one popped).
-func (p *Proc) block() {
-	p.env.loop(p, false)
-}
-
-// Sleep advances the process's virtual time by d (d <= 0 yields to other
-// work scheduled at the current instant).
-func (p *Proc) Sleep(d Duration) {
-	if d < 0 {
-		d = 0
-	}
-	p.env.scheduleProc(p.env.now.Add(d), p)
-	p.block()
 }
 
 // Run executes events until the queue is empty or Halt is called. Processes
@@ -407,102 +402,3 @@ func (e *Env) RunSteps(step Duration, horizon Time, stop func() bool) error {
 // Halt stops the simulation after the current event completes. Safe to call
 // from simulated code.
 func (e *Env) Halt() { e.halted = true }
-
-func (e *Env) run(stop func() bool) error {
-	if e.inProc {
-		panic("des: Run from process context")
-	}
-	e.halted = false
-	e.stop = stop
-	e.runErr = nil
-	e.loop(nil, false)
-	e.stop = nil
-	return e.runErr
-}
-
-// loop is the event loop. It migrates between goroutines instead of living
-// on a dedicated one:
-//
-//   - self != nil: a blocked process is driving the loop. The loop returns
-//     when an event resumes self — either popped directly (no hand-off) or,
-//     after control passed elsewhere, via self's resume channel.
-//   - self == nil, dying == false: the Run goroutine is driving. On
-//     hand-off it parks until termination is signalled on mainWake.
-//   - self == nil, dying == true: a finished process's goroutine is
-//     unwinding; it hands control onward and exits without parking.
-//
-// Termination (halt, stop predicate, or a drained queue) records the run's
-// outcome in runErr; whichever goroutine detects it wakes the Run
-// goroutine. Exactly one goroutine executes loop at any instant, so Env
-// state needs no locking; every transfer is an unbuffered channel
-// rendezvous, which orders memory on both sides.
-func (e *Env) loop(self *Proc, dying bool) {
-	e.inProc = false // whoever enters the loop left process context
-	for {
-		if e.halted {
-			e.terminate(self, dying, nil)
-			return
-		}
-		if e.queue.len() == 0 {
-			var err error
-			if e.nprocs > 0 {
-				err = fmt.Errorf("des: deadlock: %d process(es) blocked with no pending events", e.nprocs)
-			}
-			e.terminate(self, dying, err)
-			return
-		}
-		if e.stop() {
-			e.terminate(self, dying, nil)
-			return
-		}
-		ev := e.queue.pop()
-		if ev.cancelled {
-			e.recycle(ev)
-			continue
-		}
-		if ev.at < e.now {
-			panic("des: time went backwards")
-		}
-		e.now = ev.at
-		e.executed++
-		if p := ev.proc; p != nil {
-			e.recycle(ev)
-			if p.finished {
-				// Stray wakeup for a process that exited abnormally
-				// (Goexit while it still had a pending event).
-				continue
-			}
-			e.inProc = true
-			if p == self {
-				return // self-wake: resume our own code, no hand-off
-			}
-			p.resume <- struct{}{}
-			switch {
-			case dying:
-				return // goroutine exits
-			case self == nil:
-				<-e.mainWake // park the Run goroutine until termination
-				return
-			default:
-				<-self.resume // park until an event resumes self
-				return
-			}
-		}
-		fn := ev.fn
-		e.recycle(ev)
-		fn()
-	}
-}
-
-// terminate records the run's outcome and returns control to the Run
-// goroutine. A parked process stays parked until a later Run resumes it.
-func (e *Env) terminate(self *Proc, dying bool, err error) {
-	e.runErr = err
-	if self == nil && !dying {
-		return // we are the Run goroutine
-	}
-	e.mainWake <- struct{}{}
-	if self != nil {
-		<-self.resume // a later Run popped our resumption event
-	}
-}

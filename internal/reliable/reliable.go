@@ -106,11 +106,47 @@ const window = 1024
 const replyCap = 128
 
 type srcState struct {
-	gen     uint16
-	maxSeq  uint32
-	seen    map[uint32]struct{}
+	gen    uint16
+	maxSeq uint32
+	// seen is a ring of window bits: bit seq%window is set once seq is
+	// accepted, and cleared when maxSeq reaches seq+window, the newer
+	// sequence number that takes the slot over. Every tracked sequence
+	// number but 0 has a slot of its own; see zero.
+	seen [window / 64]uint64
+	// zero records seq 0, which is still inside the window while maxSeq
+	// <= window and would share slot 0 with seq window.
+	zero    bool
 	replies map[uint32][]byte
 	order   []uint32 // reply insertion order, for eviction
+}
+
+// slot locates seq's bit in the seen ring.
+func slot(seq uint32) (word int, bit uint64) {
+	return int(seq / 64 % (window / 64)), 1 << (seq % 64)
+}
+
+func (st *srcState) has(seq uint32) bool {
+	w, b := slot(seq)
+	return st.seen[w]&b != 0
+}
+
+func (st *srcState) set(seq uint32) {
+	w, b := slot(seq)
+	st.seen[w] |= b
+}
+
+// slide moves the window's top to seq > maxSeq, freeing the slots of the
+// sequence numbers that fall out of it.
+func (st *srcState) slide(seq uint32) {
+	if seq-st.maxSeq >= window {
+		st.seen = [window / 64]uint64{}
+	} else {
+		for s := st.maxSeq + 1; s != seq+1; s++ {
+			w, b := slot(s)
+			st.seen[w] &^= b
+		}
+	}
+	st.maxSeq = seq
 }
 
 // Dedup is the receiver half: per-source (generation, sequence) windows
@@ -126,7 +162,7 @@ func NewDedup() *Dedup { return &Dedup{srcs: make(map[int]*srcState)} }
 func (d *Dedup) src(src int) *srcState {
 	st, ok := d.srcs[src]
 	if !ok {
-		st = &srcState{seen: make(map[uint32]struct{}), replies: make(map[uint32][]byte)}
+		st = &srcState{replies: make(map[uint32][]byte)}
 		d.srcs[src] = st
 	}
 	return st
@@ -143,7 +179,8 @@ func (d *Dedup) Accept(src int, gen uint16, seq uint32) Result {
 	case gen > st.gen:
 		st.gen = gen
 		st.maxSeq = 0
-		st.seen = make(map[uint32]struct{})
+		st.seen = [window / 64]uint64{}
+		st.zero = false
 		st.replies = make(map[uint32][]byte)
 		st.order = st.order[:0]
 	}
@@ -153,22 +190,19 @@ func (d *Dedup) Accept(src int, gen uint16, seq uint32) Result {
 		// side of at-most-once.
 		return Duplicate
 	}
-	if _, dup := st.seen[seq]; dup {
+	switch {
+	case seq == 0: // only reachable while maxSeq <= window
+		if st.zero {
+			return Duplicate
+		}
+		st.zero = true
+		return Fresh
+	case seq > st.maxSeq:
+		st.slide(seq)
+	case st.has(seq):
 		return Duplicate
 	}
-	st.seen[seq] = struct{}{}
-	if seq > st.maxSeq {
-		st.maxSeq = seq
-		// Prune the seen-set as the window slides.
-		if st.maxSeq > window {
-			lo := st.maxSeq - window
-			for s := range st.seen {
-				if s <= lo {
-					delete(st.seen, s)
-				}
-			}
-		}
-	}
+	st.set(seq)
 	return Fresh
 }
 

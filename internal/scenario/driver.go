@@ -116,6 +116,7 @@ type leg struct {
 	window  time.Duration
 	replays int64
 	events  uint64
+	sched   des.Counters
 	mixDone bool
 	err     error // an audit failure, reported after the run
 }
@@ -180,6 +181,7 @@ func runLeg(cfg *Config, camp *faults.Campaign) (*leg, error) {
 		return nil, l.err
 	}
 	l.events = l.env.Events()
+	l.sched = l.env.Counters()
 	return l, nil
 }
 

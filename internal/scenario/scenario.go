@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"time"
 
+	"netmem/internal/des"
 	"netmem/internal/dfs"
 	"netmem/internal/faults"
 	"netmem/internal/obs"
@@ -101,11 +102,12 @@ type Result struct {
 	Seed      int64
 	Mode      dfs.Mode
 	Ops       []OpResult
-	Completed int      // ops that finished byte-correct
-	Retries   int64    // reliable-layer retransmissions
-	Giveups   int64    // operations that exhausted their retry budget
-	Injected  []string // the engine's per-kind fault tally ("loss=412", …)
-	Events    uint64   // simulator events executed in the measured leg
+	Completed int          // ops that finished byte-correct
+	Retries   int64        // reliable-layer retransmissions
+	Giveups   int64        // operations that exhausted their retry budget
+	Injected  []string     // the engine's per-kind fault tally ("loss=412", …)
+	Events    uint64       // simulator events executed in the measured leg
+	Sched     des.Counters // kernel scheduling-path counts of the measured leg
 	// Metrics is the deterministic metric snapshot of the chaos run —
 	// identical seeds produce byte-identical snapshots.
 	Metrics obs.Snapshot
@@ -248,6 +250,7 @@ func Run(cfg Config) (*Result, error) {
 		Window:   leg.window,
 		Replays:  leg.replays,
 		Events:   leg.events,
+		Sched:    leg.sched,
 	}
 	res.Retries = res.Metrics.Counter("reliable.retries")
 	res.Giveups = res.Metrics.Counter("reliable.giveup")

@@ -471,7 +471,8 @@ type OpenLoopResult struct {
 	FailedOver bool    `json:"failed_over"`
 	MTTRMs     float64 `json:"mttr_ms"`
 
-	Events uint64 `json:"events"`
+	Events uint64       `json:"events"`
+	Sched  des.Counters `json:"-"`
 }
 
 // stepRun advances env in step-sized slices until stop() or the horizon —
@@ -727,5 +728,6 @@ func RunOpenLoop(cfg OpenLoopConfig) (*OpenLoopResult, error) {
 		}
 	}
 	res.Events = env.Events()
+	res.Sched = env.Counters()
 	return res, nil
 }

@@ -27,10 +27,11 @@ type ScalePoint struct {
 	Clients    int
 	OpsDone    int64
 	OpsPerSec  float64
-	ServerUtil float64 // server CPU utilization during the window
-	MeanLatMs  float64 // mean per-operation latency, milliseconds
-	P99Ms      float64 // p99 per-operation latency, milliseconds
-	Events     uint64  // simulator events executed (see des.Env.Events)
+	ServerUtil float64      // server CPU utilization during the window
+	MeanLatMs  float64      // mean per-operation latency, milliseconds
+	P99Ms      float64      // p99 per-operation latency, milliseconds
+	Events     uint64       // simulator events executed (see des.Env.Events)
+	Sched      des.Counters // kernel scheduling-path counts (see des.Env.Counters)
 }
 
 // ScaleConfig parameterizes the experiment.
@@ -129,6 +130,7 @@ func RunScale(cfg ScaleConfig) (ScalePoint, error) {
 		OpsPerSec:  float64(st.Ops) / elapsed.Seconds(),
 		ServerUtil: srv.Node().CPU.Utilization(start),
 		Events:     env.Events(),
+		Sched:      env.Counters(),
 	}
 	if st.Ops > 0 {
 		pt.MeanLatMs = (st.SumLat / time.Duration(st.Ops)).Seconds() * 1000
