@@ -170,15 +170,15 @@ func BenchmarkServerLoadHeadline(b *testing.B) {
 // BenchmarkScalability runs the multi-client extension: 4 closed-loop
 // clients replaying the mix under each structure.
 func BenchmarkScalability(b *testing.B) {
-	var hy, dx workload.ScalePoint
+	var hy, dx *scenario.ClosedLoopPoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		hy, err = workload.RunScale(workload.ScaleConfig{
+		hy, err = scenario.RunClosedLoop(scenario.ClosedLoopConfig{
 			Clients: 4, Mode: dfs.HY, Window: time.Second, ThinkTime: 2 * time.Millisecond})
 		if err != nil {
 			b.Fatal(err)
 		}
-		dx, err = workload.RunScale(workload.ScaleConfig{
+		dx, err = scenario.RunClosedLoop(scenario.ClosedLoopConfig{
 			Clients: 4, Mode: dfs.DX, Window: time.Second, ThinkTime: 2 * time.Millisecond})
 		if err != nil {
 			b.Fatal(err)
@@ -186,8 +186,8 @@ func BenchmarkScalability(b *testing.B) {
 	}
 	b.ReportMetric(hy.OpsPerSec, "HY-ops/s")
 	b.ReportMetric(dx.OpsPerSec, "DX-ops/s")
-	b.ReportMetric(hy.ServerUtil*100, "HY-server-util-pct")
-	b.ReportMetric(dx.ServerUtil*100, "DX-server-util-pct")
+	b.ReportMetric(hy.MeanUtil*100, "HY-server-util-pct")
+	b.ReportMetric(dx.MeanUtil*100, "DX-server-util-pct")
 }
 
 // BenchmarkSimulatorThroughput measures the simulator itself: simulated
@@ -254,7 +254,7 @@ func BenchmarkMixedChaosCampaign(b *testing.B) {
 func BenchmarkScaleSix(b *testing.B) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		pt, err := workload.RunScale(workload.ScaleConfig{
+		pt, err := scenario.RunClosedLoop(scenario.ClosedLoopConfig{
 			Clients: 6, Mode: dfs.DX, Window: time.Second, ThinkTime: 2 * time.Millisecond})
 		if err != nil {
 			b.Fatal(err)
@@ -272,7 +272,7 @@ func BenchmarkScaleSix(b *testing.B) {
 func BenchmarkSLOSmoke(b *testing.B) {
 	var events, handoffs uint64
 	for i := 0; i < b.N; i++ {
-		res, err := workload.RunOpenLoop(workload.SmokeConfig(workload.ShapeSteady, 1, nil))
+		res, err := scenario.RunOpenLoop(scenario.SmokeConfig(workload.ShapeSteady, 1, nil))
 		if err != nil {
 			b.Fatal(err)
 		}

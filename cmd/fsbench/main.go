@@ -58,14 +58,11 @@ import (
 	"strings"
 	"time"
 
-	"netmem/internal/consensus"
 	"netmem/internal/dfs"
 	"netmem/internal/faults"
 	"netmem/internal/obs"
 	"netmem/internal/scenario"
-	"netmem/internal/shard"
 	"netmem/internal/stats"
-	"netmem/internal/workload"
 )
 
 func main() {
@@ -348,7 +345,7 @@ func runChaos(name string, seed int64, metrics bool, shards, replicas int) {
 // decrees through a small slot window, then the snapshot-replay audit.
 func runCompaction(commits int, seed int64, metrics bool) {
 	const slots = 64
-	res, err := consensus.RunCompaction(slots, commits, seed)
+	res, err := scenario.RunCompaction(slots, commits, seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fsbench:", err)
 		os.Exit(1)
@@ -509,8 +506,8 @@ func runShardSweep(maxShards int) {
 	t := stats.NewTable("Shards", "Clients", "Ops/s", "Per-shard util", "Mean util", "vs 1-shard", "Mean latency", "p99")
 	var base float64
 	for s := 1; s <= maxShards; s++ {
-		pt, err := workload.RunShardScale(workload.ShardScaleConfig{
-			Shards: s, Mode: dfs.DX,
+		pt, err := scenario.RunClosedLoop(scenario.ClosedLoopConfig{
+			Topology: scenario.Sharded, Shards: s, Clients: 4 * s, Mode: dfs.DX,
 			Window: time.Second, ThinkTime: 2 * time.Millisecond,
 		})
 		if err != nil {
@@ -520,8 +517,8 @@ func runShardSweep(maxShards int) {
 		if s == 1 {
 			base = pt.MeanUtil
 		}
-		utils := make([]string, len(pt.ShardUtil))
-		for i, u := range pt.ShardUtil {
+		utils := make([]string, len(pt.ServerUtil))
+		for i, u := range pt.ServerUtil {
 			utils[i] = fmt.Sprintf("%.2f", u)
 		}
 		t.Add(s, pt.Clients, fmt.Sprintf("%.0f", pt.OpsPerSec),
@@ -534,7 +531,7 @@ func runShardSweep(maxShards int) {
 	fmt.Println(t)
 	fmt.Println("(load scales with shards: per-shard occupancy should stay near the 1-shard baseline)")
 	fmt.Println()
-	probe, err := shard.TokenRereadProbe(maxShards)
+	probe, err := scenario.TokenRereadProbe(maxShards)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fsbench: token probe:", err)
 		os.Exit(1)
@@ -552,7 +549,7 @@ func runReplicaSweep(maxReplicas int) {
 	fmt.Printf("Replica read tier: 1..%d chain members, %d token-holding readers on one hot file, paced writer\n", maxReplicas, readers)
 	fmt.Println("(replica reads are one-sided READs of member frame segments: the primary moves no bytes)")
 	fmt.Println()
-	pts, err := shard.ReplicaSweep(maxReplicas, readers)
+	pts, err := scenario.ReplicaSweep(maxReplicas, readers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fsbench:", err)
 		os.Exit(1)
@@ -592,7 +589,7 @@ func runReplicaSweep(maxReplicas int) {
 		os.Exit(1)
 	}
 	fmt.Println()
-	probe, err := shard.ReplicaRereadProbe(maxReplicas)
+	probe, err := scenario.ReplicaRereadProbe(maxReplicas)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fsbench: replica probe:", err)
 		os.Exit(1)
@@ -604,7 +601,7 @@ func runReplicaSweep(maxReplicas int) {
 // runElastic runs the elastic fleet sweep and prints the per-step table
 // plus the machine-checkable verdict lines CI greps for.
 func runElastic(seed int64) {
-	res, err := workload.RunElastic(workload.ElasticConfig{
+	res, err := scenario.RunElastic(scenario.ElasticConfig{
 		Mode: dfs.DX, TokenCache: true, Seed: seed,
 	})
 	if err != nil {
@@ -658,7 +655,7 @@ func runScale(maxClients int) {
 	t := stats.NewTable("Clients", "Mode", "Ops/s", "Server util", "Mean latency", "p99")
 	for n := 1; n <= maxClients; n++ {
 		for _, mode := range []dfs.Mode{dfs.HY, dfs.DX} {
-			pt, err := workload.RunScale(workload.ScaleConfig{
+			pt, err := scenario.RunClosedLoop(scenario.ClosedLoopConfig{
 				Clients: n, Mode: mode,
 				Window: time.Second, ThinkTime: 2 * time.Millisecond,
 			})
@@ -667,7 +664,7 @@ func runScale(maxClients int) {
 				os.Exit(1)
 			}
 			t.Add(n, mode, fmt.Sprintf("%.0f", pt.OpsPerSec),
-				fmt.Sprintf("%.2f", pt.ServerUtil),
+				fmt.Sprintf("%.2f", pt.MeanUtil),
 				fmt.Sprintf("%.2fms", pt.MeanLatMs),
 				fmt.Sprintf("%.2fms", pt.P99Ms))
 		}

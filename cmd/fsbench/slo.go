@@ -6,6 +6,7 @@ import (
 	"os"
 
 	"netmem/internal/faults"
+	"netmem/internal/scenario"
 	"netmem/internal/stats"
 	"netmem/internal/workload"
 )
@@ -37,7 +38,7 @@ func runSLOSmoke(shapeName string, seed int64, chaosName string, gateMs float64)
 		fmt.Fprintln(os.Stderr, "fsbench:", err)
 		os.Exit(1)
 	}
-	res, err := workload.RunOpenLoop(workload.SmokeConfig(shape, seed, namedCampaign(chaosName)))
+	res, err := scenario.RunOpenLoop(scenario.SmokeConfig(shape, seed, namedCampaign(chaosName)))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fsbench:", err)
 		os.Exit(1)
@@ -78,7 +79,7 @@ func runSLOSmoke(shapeName string, seed int64, chaosName string, gateMs float64)
 // gate lines CI greps for (exit 1 on any FAIL).
 func runSLO(seed int64, out, chaosName string) {
 	camp := namedCampaign(chaosName)
-	doc, err := workload.RunSLOSweep(workload.SLOSweepConfig{Seed: seed, Campaign: camp})
+	doc, err := scenario.RunSLOSweep(workload.SLOSweepConfig{Seed: seed, Campaign: camp})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fsbench:", err)
 		os.Exit(1)

@@ -28,7 +28,6 @@ import (
 	"runtime"
 	"time"
 
-	"netmem/internal/consensus"
 	"netmem/internal/des"
 	"netmem/internal/dfs"
 	"netmem/internal/faults"
@@ -152,7 +151,7 @@ func runMixedChaos() (uint64, des.Counters, error) {
 
 // runScale6 runs the six-client closed-loop mix once in the given mode.
 func runScale6(mode dfs.Mode) (uint64, des.Counters, error) {
-	pt, err := workload.RunScale(workload.ScaleConfig{
+	pt, err := scenario.RunClosedLoop(scenario.ClosedLoopConfig{
 		Clients: 6, Mode: mode, Window: time.Second, ThinkTime: 2 * time.Millisecond})
 	if err != nil {
 		return 0, des.Counters{}, err
@@ -168,7 +167,7 @@ func runScale6(mode dfs.Mode) (uint64, des.Counters, error) {
 // self-validates (exact final count, zero acceptor agreement CPU), so a
 // wrong result fails the bench instead of being timed.
 func runCASContend() (uint64, des.Counters, error) {
-	res, err := consensus.RunCASBench(consensus.CASBenchConfig{
+	res, err := scenario.RunCASBench(scenario.CASBenchConfig{
 		Clerks: 8, WinsPerClerk: 200, Seed: 1})
 	if err != nil {
 		return 0, des.Counters{}, err
@@ -180,7 +179,7 @@ func runCASContend() (uint64, des.Counters, error) {
 // 100k clients on 4 shards, each with a 3-member replica chain, so the
 // chain push and forwarder daemons run throughout.
 func runSLOSmoke() (uint64, des.Counters, error) {
-	res, err := workload.RunOpenLoop(workload.SmokeConfig(workload.ShapeSteady, 1, nil))
+	res, err := scenario.RunOpenLoop(scenario.SmokeConfig(workload.ShapeSteady, 1, nil))
 	if err != nil {
 		return 0, des.Counters{}, err
 	}

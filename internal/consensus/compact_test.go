@@ -89,4 +89,24 @@ func TestCompactionOutrunsSlots(t *testing.T) {
 	if replay != r0.Digest() {
 		t.Fatalf("replay digest %x != live digest %x", replay, r0.Digest())
 	}
+
+	// AuditCompaction is this audit as one call: it passes here, and it
+	// catches a diverged retained decree and a digest that no longer
+	// replays.
+	if agree, replayOK, snaps := cp.AuditCompaction(); !agree || !replayOK || snaps == 0 {
+		t.Fatalf("audit: agree=%v replayOK=%v snapshots=%d", agree, replayOK, snaps)
+	}
+	r1 := cp.Replicas()[1]
+	last := len(r1.log) - 1
+	saved := r1.log[last]
+	r1.log[last].Seq++
+	if agree, _, _ := cp.AuditCompaction(); agree {
+		t.Error("audit missed a diverged decree")
+	}
+	r1.log[last] = saved
+	r0.digest ^= 1
+	if _, replayOK, _ := cp.AuditCompaction(); replayOK {
+		t.Error("audit replayed to a corrupted digest")
+	}
+	r0.digest ^= 1
 }

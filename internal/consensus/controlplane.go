@@ -501,6 +501,37 @@ func (cp *ControlPlane) AuditSurvivors(p *des.Proc, name string, node int) (decr
 	return decrees, registryOK, nil
 }
 
+// AuditCompaction checks a compacted log after a run: every replica must
+// agree with replica 0 on the applied count, the compaction watermark, and
+// the retained suffix byte for byte, and replica 0's checkpoint digest
+// folded over that suffix must land exactly on its live digest. snapshots
+// counts the snapshot decrees in the suffix.
+func (cp *ControlPlane) AuditCompaction() (agree, replayOK bool, snapshots int) {
+	r0 := cp.reps[0]
+	ref := r0.Log()
+	agree = true
+	for _, r := range cp.reps[1:] {
+		if r.AppliedCount() != r0.AppliedCount() || r.SnapBase() != r0.SnapBase() {
+			agree = false
+			break
+		}
+		for s, cmd := range r.Log() {
+			if !bytes.Equal(cmd.Encode(), ref[s].Encode()) {
+				agree = false
+				break
+			}
+		}
+	}
+	s0, _, _, d := r0.Checkpoint(nil)
+	for _, cmd := range ref[s0:] {
+		if cmd.Kind == KindSnapshot {
+			snapshots++
+		}
+		d = foldDigest(d, cmd.Encode())
+	}
+	return agree, d == r0.Digest(), snapshots
+}
+
 // proposeCmd stamps origin/sequence and drives cmd into the first open
 // slot.
 func (r *Replica) proposeCmd(p *des.Proc, cmd Command) error {

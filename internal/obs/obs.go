@@ -68,7 +68,7 @@ type Tracer struct {
 	dropped int64
 
 	counters  map[string]int64
-	hists     map[string]*stats.Histogram
+	hists     map[string]*stats.Sketch
 	timelines map[string]*stats.Timeline
 }
 
@@ -80,7 +80,7 @@ func New(cfg Config) *Tracer {
 	return &Tracer{
 		cfg:       cfg,
 		counters:  make(map[string]int64),
-		hists:     make(map[string]*stats.Histogram),
+		hists:     make(map[string]*stats.Sketch),
 		timelines: make(map[string]*stats.Timeline),
 	}
 }
@@ -100,7 +100,7 @@ func (t *Tracer) Reset() {
 	t.events = nil
 	t.dropped = 0
 	t.counters = make(map[string]int64)
-	t.hists = make(map[string]*stats.Histogram)
+	t.hists = make(map[string]*stats.Sketch)
 	t.timelines = make(map[string]*stats.Timeline)
 }
 
@@ -170,14 +170,16 @@ func (t *Tracer) CounterValue(name string) int64 {
 	return t.counters[name]
 }
 
-// Observe records a duration sample into the named latency histogram.
+// Observe records a duration sample into the named latency histogram: a
+// stats.Sketch, so memory stays a few KB per name however many samples a
+// run observes.
 func (t *Tracer) Observe(name string, d time.Duration) {
 	if t == nil {
 		return
 	}
 	h := t.hists[name]
 	if h == nil {
-		h = &stats.Histogram{}
+		h = &stats.Sketch{}
 		t.hists[name] = h
 	}
 	h.ObserveDuration(d)

@@ -15,7 +15,9 @@ type CounterSnap struct {
 	Value int64
 }
 
-// HistSnap summarizes one latency histogram.
+// HistSnap summarizes one latency histogram. Count, Sum, Min, Max and Mean
+// are exact; the quantiles are stats.Sketch estimates, within 1/256 of the
+// exact nearest-rank value and clamped to [Min, Max].
 type HistSnap struct {
 	Name  string
 	Count int
@@ -59,13 +61,13 @@ func (t *Tracer) Snapshot() Snapshot {
 	for name, h := range t.hists {
 		s.Hists = append(s.Hists, HistSnap{
 			Name:  name,
-			Count: h.Count(),
+			Count: int(h.Count()),
 			Sum:   time.Duration(h.Sum()),
 			Min:   time.Duration(h.Min()),
 			Max:   time.Duration(h.Max()),
 			Mean:  time.Duration(h.Mean()),
 			P50:   time.Duration(h.P50()),
-			P95:   time.Duration(h.P95()),
+			P95:   time.Duration(h.Quantile(0.95)),
 			P99:   time.Duration(h.P99()),
 		})
 	}

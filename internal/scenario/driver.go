@@ -6,15 +6,11 @@ import (
 	"fmt"
 	"time"
 
-	"netmem/internal/cluster"
 	"netmem/internal/des"
 	"netmem/internal/dfs"
 	"netmem/internal/faults"
 	"netmem/internal/fstore"
-	"netmem/internal/model"
-	"netmem/internal/obs"
 	"netmem/internal/recovery"
-	"netmem/internal/rmem"
 	"netmem/internal/workload"
 )
 
@@ -100,12 +96,8 @@ type leg struct {
 	failover bool             // the campaign has a crash schedule (both legs)
 	rig      rig
 
-	env   *des.Env
-	tr    *obs.Tracer
-	eng   *faults.Engine
-	cl    *cluster.Cluster
+	*machines
 	nodes int
-	mgrs  []*rmem.Manager
 
 	// The Figure 2 tree and the clerk the mix runs through.
 	fs              workload.FileAPI
@@ -127,30 +119,9 @@ func runLeg(cfg *Config, camp *faults.Campaign) (*leg, error) {
 	s := &specs[cfg.Topology]
 	l := &leg{spec: s, cfg: cfg, camp: camp, failover: len(cfg.Campaign.Crashes) > 0}
 	l.rig = s.build(l)
-	l.env = des.NewEnv()
-	if cfg.Seed != 0 {
-		l.env.Seed(cfg.Seed)
-	}
-	l.tr = obs.New(obs.Config{})
-	l.env.SetTracer(l.tr)
-	var opts []cluster.Option
-	if camp != nil {
-		l.eng = faults.NewEngine(l.env, *camp)
-		opts = append(opts, cluster.WithFaultEngine(l.eng))
-	}
-	l.cl = cluster.New(l.env, &model.Default, l.nodes, opts...)
-	l.mgrs = make([]*rmem.Manager, l.nodes)
-	for i := range l.mgrs {
-		l.mgrs[i] = rmem.NewManager(l.cl.Nodes[i])
-	}
-
-	var setupErr error
-	l.env.Spawn("chaos.setup", func(p *des.Proc) { setupErr = l.rig.setup(p) })
-	if err := l.env.RunUntil(des.Time(s.anchor)); err != nil {
+	l.machines = boot(bootSpec{nodes: l.nodes, seed: cfg.Seed, trace: true, camp: camp})
+	if err := l.setupTo(des.Time(s.anchor), l.rig.setup); err != nil {
 		return nil, err
-	}
-	if setupErr != nil {
-		return nil, setupErr
 	}
 	if cfg.wrap != nil {
 		l.fs = cfg.wrap(l.fs)
@@ -401,20 +372,4 @@ func writePattern(n int) []byte {
 		b[i] = byte(i*7 + 129)
 	}
 	return b
-}
-
-// coldRestart makes nodes 0..n-1 reboot cold: a recovered node's restarted
-// manager fences every descriptor issued by the dead incarnation (nil-safe
-// without a fault engine).
-func (l *leg) coldRestart(n int) {
-	for i := 0; i < n; i++ {
-		l.eng.OnRecover(i, l.mgrs[i].Restart)
-	}
-}
-
-// sleepUntil parks p until virtual time at (no-op once past it).
-func sleepUntil(p *des.Proc, at des.Time) {
-	if p.Now() < at {
-		p.Sleep(time.Duration(at.Sub(p.Now())))
-	}
 }

